@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -71,16 +72,6 @@ CONFIG_SCHEMA = {
     "n_rho": (int, 24, ("instanton-verify",)),
     "n_quad_theta": (int, 24, ("instanton-verify",)),
 }
-
-SUBCOMMANDS = (
-    "constants",
-    "nehari-check",
-    "instanton-verify",
-    "minimize",
-    "sweep",
-    "alpha0",
-)
-
 
 def _fmt(x) -> str:
     """One CSV cell. Floats at full round-trip precision, bools as 0/1."""
@@ -169,17 +160,17 @@ def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
     return merged
 
 
-def _solver_pieces(cfg: dict, seed, threads: int):
+def _solver_pieces(cfg: dict):
     params = make_params(cfg["N"], cfg["a"], cfg.get("alpha", 0.0), cfg["R"])
     grid = build_grid(cfg["N"], cfg["R"], cfg["n_r"], cfg["n_theta"], cfg["stretch"])
     solve_config = SolveConfig(
         max_iters=cfg["max_iters"],
         grad_tol=cfg["grad_tol"],
         n_starts=cfg["n_starts"],
-        seed=cfg["seed"] if seed is None else int(seed),
+        seed=cfg["seed"],
         threshold_slack=cfg["tau"],
     )
-    return params, grid, solve_config, threads
+    return params, grid, solve_config
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -190,9 +181,25 @@ def _write_csv(path: str, header: list, rows: list) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _finite_or_null(obj):
+    """The payload with every NaN or infinite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _strict_json(payload, indent=None) -> str:
+    """Strict JSON text: non-finite floats become null, never NaN or Infinity."""
+    return json.dumps(_finite_or_null(payload), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(_strict_json(payload, indent=2))
         fh.write("\n")
 
 
@@ -243,16 +250,12 @@ def _result_payload(res) -> dict:
             "boundary_flag": bool(d.boundary_flag),
             "fit": None
             if d.fit is None
-            else {
-                "eps": d.fit.eps,
-                "boundary_angle": d.fit.boundary_angle,
-                "amplitude": d.fit.amplitude,
-            },
+            else {"eps": d.fit.eps, "amplitude": d.fit.amplitude},
         },
     }
 
 
-def _run_constants(cfg, out_dir, ctx):
+def _run_constants(cfg, out_dir, ctx, threads):
     pack = snapshot(cfg["N"], mean_curvature=1.0 / cfg["R"])
     text = json.dumps(pack, indent=2, sort_keys=True)
     print(text)
@@ -264,7 +267,7 @@ def _run_constants(cfg, out_dir, ctx):
     return 0
 
 
-def _run_nehari_check(cfg, out_dir, ctx):
+def _run_nehari_check(cfg, out_dir, ctx, threads):
     rows = []
     with open(cfg["triples"], newline="") as fh:
         reader = csv.DictReader(fh)
@@ -318,7 +321,7 @@ def _run_nehari_check(cfg, out_dir, ctx):
         path = os.path.join(out_dir, "nehari_records.jsonl")
         with open(path, "w") as fh:
             for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True))
+                fh.write(_strict_json(rec))
                 fh.write("\n")
         ctx["outputs"].append("nehari_records.jsonl")
     if violations:
@@ -326,7 +329,7 @@ def _run_nehari_check(cfg, out_dir, ctx):
     return 0
 
 
-def _run_instanton_verify(cfg, out_dir, ctx):
+def _run_instanton_verify(cfg, out_dir, ctx, threads):
     report = expansion_suite(
         cfg["N"],
         cfg["R"],
@@ -358,8 +361,8 @@ def _run_instanton_verify(cfg, out_dir, ctx):
     return 0
 
 
-def _run_minimize(cfg, out_dir, ctx, seed, threads):
-    params, grid, solve_config, threads = _solver_pieces(cfg, seed, threads)
+def _run_minimize(cfg, out_dir, ctx, threads):
+    params, grid, solve_config = _solver_pieces(cfg)
     res = minimize(params, solve_config, grid, threads=threads)
     payload = _result_payload(res)
     payload["alpha"] = params.alpha
@@ -385,8 +388,8 @@ def _run_minimize(cfg, out_dir, ctx, seed, threads):
     return 0
 
 
-def _run_sweep(cfg, out_dir, ctx, seed, threads):
-    params, grid, solve_config, threads = _solver_pieces(cfg, seed, threads)
+def _run_sweep(cfg, out_dir, ctx, threads):
+    params, grid, solve_config = _solver_pieces(cfg)
     swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid, threads=threads)
     rows = [_diagnostic_row(a, r) for a, r in zip(swept.alphas, swept.results)]
     if out_dir is not None:
@@ -407,7 +410,7 @@ def _run_sweep(cfg, out_dir, ctx, seed, threads):
         )
     ctx["summary"] = {
         "levels": [r.S_alpha_est for r in swept.results],
-        "monotone_violations": [list(v) for v in swept.monotone_violations],
+        "monotone_violations": list(swept.monotone_violations),
     }
     if swept.monotone_violations:
         raise NumericalFailure(
@@ -416,8 +419,8 @@ def _run_sweep(cfg, out_dir, ctx, seed, threads):
     return 0
 
 
-def _run_alpha0(cfg, out_dir, ctx, seed, threads):
-    params, grid, solve_config, threads = _solver_pieces(cfg, seed, threads)
+def _run_alpha0(cfg, out_dir, ctx, threads):
+    params, grid, solve_config = _solver_pieces(cfg)
     bracket = (cfg["alpha_list"][0], cfg["alpha_list"][-1])
     res = estimate_alpha0(params, solve_config, grid, bracket, threads=threads)
     payload = {
@@ -439,6 +442,20 @@ def _run_alpha0(cfg, out_dir, ctx, seed, threads):
         ctx["outputs"].append("alpha0.json")
     ctx["summary"] = {"alpha_hat": res.alpha_hat}
     return 0
+
+
+# Every handler takes (cfg, out_dir, ctx, threads); the config schema
+# decides which keys reach it.
+HANDLERS = {
+    "constants": _run_constants,
+    "nehari-check": _run_nehari_check,
+    "instanton-verify": _run_instanton_verify,
+    "minimize": _run_minimize,
+    "sweep": _run_sweep,
+    "alpha0": _run_alpha0,
+}
+
+SUBCOMMANDS = tuple(HANDLERS)
 
 
 def _resolve_threads(threads) -> int:
@@ -471,22 +488,16 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
                 f"unknown subcommand {subcommand!r}, want one of {', '.join(SUBCOMMANDS)}"
             )
         raw = {} if config_path is None else _read_config_file(config_path)
-        cfg = resolve_config(subcommand, raw, overrides or {})
+        # the override joins the config, so cfg["seed"] is the one seed a
+        # run uses and the one its manifest echoes for a replay
+        overrides = dict(overrides or {})
+        if seed is not None:
+            overrides["seed"] = seed
+        cfg = resolve_config(subcommand, raw, overrides)
         threads = _resolve_threads(threads)
         if output_dir is not None:
             os.makedirs(output_dir, exist_ok=True)
-        if subcommand == "constants":
-            code = _run_constants(cfg, output_dir, ctx)
-        elif subcommand == "nehari-check":
-            code = _run_nehari_check(cfg, output_dir, ctx)
-        elif subcommand == "instanton-verify":
-            code = _run_instanton_verify(cfg, output_dir, ctx)
-        elif subcommand == "minimize":
-            code = _run_minimize(cfg, output_dir, ctx, seed, threads)
-        elif subcommand == "sweep":
-            code = _run_sweep(cfg, output_dir, ctx, seed, threads)
-        else:
-            code = _run_alpha0(cfg, output_dir, ctx, seed, threads)
+        code = HANDLERS[subcommand](cfg, output_dir, ctx, threads)
     except ValidationError as exc:
         # No manifest: a run whose config never validated has nothing to echo.
         print(f"validation error: {exc}", file=sys.stderr)
@@ -506,7 +517,7 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
             "constants": snapshot(cfg["N"], mean_curvature=1.0 / cfg["R"])
             if "N" in cfg
             else None,
-            "seed": cfg.get("seed") if seed is None else int(seed),
+            "seed": cfg.get("seed"),
             "threads": threads,
             "outputs": ctx["outputs"],
             "summary": ctx["summary"],
@@ -558,7 +569,6 @@ def main(argv=None) -> int:
         config_path=args.config,
         output_dir=args.out,
         overrides=overrides,
-        seed=args.seed,
         threads=args.threads,
     )
 

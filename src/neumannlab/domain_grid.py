@@ -12,8 +12,9 @@ of measure zero.  Their cell mass is merged into the adjacent node and
 their own weight is exactly zero; for N >= 5 the merged slivers carry
 O(h^N) mass, so the merge costs nothing at quadrature order.  A separate
 strictly positive per-node mass vector (the unmerged control volumes) is
-kept for use as a descent preconditioner, so no degree of freedom is
-ever divided by zero.
+kept for the solver's Armijo rule, which measures the length of a
+descent move in it; the descent direction itself comes from the energy
+operator.
 
 The gradient energy differences along cell edges: each term is the
 second-order centered derivative at an edge midpoint, squared, times the
@@ -145,9 +146,6 @@ class AxiGrid:
                 totals[k] += float(np.sum(w * ug**q))
         return tuple(totals)
 
-    def power_mass(self, values: np.ndarray, q: float) -> float:
-        return self.power_masses(values, (q,))[0]
-
     def power_mass_gradients(self, values: np.ndarray, qs) -> tuple:
         """Nodal derivatives of power_masses, one array per exponent."""
         corners = self._corner_views(values)
@@ -169,9 +167,6 @@ class AxiGrid:
                 out[:-1, 1:] += lam[2] * p
                 out[1:, 1:] += lam[3] * p
         return tuple(outs)
-
-    def power_mass_gradient(self, values: np.ndarray, q: float) -> np.ndarray:
-        return self.power_mass_gradients(values, (q,))[0]
 
 
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
@@ -287,9 +282,6 @@ class Field:
     @classmethod
     def constant(cls, grid: AxiGrid, value: float) -> "Field":
         return cls(grid, np.full((grid.n_r, grid.n_theta), float(value)))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
 
 @dataclass(frozen=True)

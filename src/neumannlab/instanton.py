@@ -108,10 +108,10 @@ def translation_mode(s, N: int):
 
 @dataclass(frozen=True)
 class InstantonParams:
-    """Concentration scale, boundary point (as an angle), and amplitude."""
+    """Concentration scale and amplitude of a bubble centered at a
+    boundary point."""
 
     eps: float
-    boundary_angle: float = 0.0
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -128,7 +128,6 @@ class CapQuadrature:
     N: int
     n_rho: int = 24
     n_theta: int = 24
-    rule: str = "gauss-legendre"
     domain: str = "ball"
     radius: float = 1.0
 
@@ -138,8 +137,6 @@ class CapQuadrature:
             raise ConfigurationError(
                 f"n_rho and n_theta must be >= 16, got {self.n_rho}, {self.n_theta}"
             )
-        if self.rule != "gauss-legendre":
-            raise ConfigurationError(f"unsupported rule {self.rule!r}")
         if self.domain not in ("ball", "half_space"):
             raise ConfigurationError(f"domain must be ball or half_space, got {self.domain!r}")
         if not self.radius > 0:

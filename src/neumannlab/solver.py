@@ -3,9 +3,11 @@
 The functional minimized is the degree-0 homogeneous I of the field's
 norm triple, so no Nehari-manifold retraction is needed; the projection
 onto the manifold is absorbed into the closed-form t(u).  Descent
-directions are the nodal derivative divided by the per-node mass, which
-is the discrete L2 Riesz representative of the derivative; without that
-weighting the iteration chases the fine boundary cells and stalls.
+directions are Q^{-1} applied to the nodal derivative, with Q the
+energy operator (stiffness plus consistent mass): the Riesz
+representative of the derivative in the energy metric.  Plain nodal
+derivatives chase the fine boundary cells of a stretched mesh and stall.
+The stopping rule is the dual norm of the derivative in the same metric.
 
 Each accepted step clips to the nonnegative cone (every term of the
 functional is even in u except the positivity the ground state wants)
@@ -36,22 +38,12 @@ from .instanton import InstantonParams
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
 
 
-@dataclass(frozen=True)
-class ArmijoRule:
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 40
-
-    def __post_init__(self):
-        if not 0 < self.backtrack < 1:
-            raise ConfigurationError(f"backtrack in (0,1) required, got {self.backtrack}")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ConfigurationError(
-                f"sufficient_decrease in (0,1) required, got {self.sufficient_decrease}"
-            )
-        if self.initial_step <= 0 or self.max_backtracks < 1:
-            raise ConfigurationError("initial_step > 0 and max_backtracks >= 1 required")
+# Armijo backtracking: first trial step, shrink factor per rejected
+# trial, sufficient-decrease constant, and trials before giving up.
+INITIAL_STEP = 1.0
+BACKTRACK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,6 @@ class SolveConfig:
     grad_tol: float = 1e-6
     n_starts: int = 5
     seed: int = 0
-    step_rule: ArmijoRule = ArmijoRule()
     threshold_slack: float = 0.01
 
     def __post_init__(self):
@@ -170,11 +161,10 @@ def _dual_norm(garr: np.ndarray, solved: np.ndarray) -> float:
 
 def _descend(start: Field, params, config: SolveConfig, solve_q):
     grid = start.grid
-    rule = config.step_rule
     ts = float(params.exponents.two_star)
     u = _normalized(Field(grid, np.maximum(start.values, 0.0)), params)
     f = evaluate_I(u, params)
-    step = rule.initial_step
+    step = INITIAL_STEP
     iters = 0
     converged = False
     for iters in range(1, config.max_iters + 1):
@@ -187,23 +177,23 @@ def _descend(start: Field, params, config: SolveConfig, solve_q):
             break
         accepted = False
         s = step
-        for _ in range(rule.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial_vals = np.maximum(u.values - s * direction, 0.0)
             if not np.any(trial_vals > 0.0):
-                s *= rule.backtrack
+                s *= BACKTRACK
                 continue
             move2 = float(np.sum(grid.mass * (trial_vals - u.values) ** 2))
             # the level is scaling-invariant, so judge the raw trial and
             # only rescale to |u|_{2*} = 1 once it is accepted
             trep = norms(Field(grid, trial_vals), params)
             f_try = big_I(trep.triple)
-            if f_try <= f - rule.sufficient_decrease / s * move2:
+            if f_try <= f - SUFFICIENT_DECREASE / s * move2:
                 u = Field(grid, trial_vals / trep.triple.c ** (1.0 / ts))
                 f = f_try
                 step = min(s * 2.0, 64.0)
                 accepted = True
                 break
-            s *= rule.backtrack
+            s *= BACKTRACK
         if not accepted:
             break
     return u, f, iters, converged
@@ -322,19 +312,10 @@ def default_starts(params, config: SolveConfig, grid: AxiGrid):
     return starts[: config.n_starts]
 
 
-def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, threads=1, solve_q=None):
+def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, threads, solve_q):
     start_values = tuple(evaluate_I(s, params) for s in starts)
-    if solve_q is None:
-        solve_q = _energy_solver(grid, params.a)
-
-    def run(s):
-        return _descend(s, params, config, solve_q)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
 
     best = min(range(len(outcomes)), key=lambda k: outcomes[k][1])
     u, f, iters, converged = outcomes[best]
@@ -353,7 +334,8 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, th
 
 def minimize(params, config: SolveConfig, grid: AxiGrid, threads: int = 1) -> SolveResult:
     """Best-of-multistart descent on I_alpha."""
-    return _minimize_over_starts(params, config, grid, default_starts(params, config, grid), threads)
+    starts = default_starts(params, config, grid)
+    return _minimize_over_starts(params, config, grid, starts, threads, _energy_solver(grid, params.a))
 
 
 def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid, threads: int = 1) -> SweepResult:

@@ -1,12 +1,17 @@
 """Exit codes, config handling, and output files of the command line driver."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from neumannlab import cli
 from neumannlab.constants import snapshot
 from neumannlab.domain_grid import load_field_snapshot
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def write_cfg(path, text):
@@ -140,6 +145,33 @@ class TestMinimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 17
 
+    def test_seed_override_replays(self, tmp_path, capsys):
+        # the fifth start is the seeded random one, so start_values see the seed
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            SMALL_SOLVER.replace("n_starts = 2", "n_starts = 5") + "alpha = 0.0\n",
+        )
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        cli.run("minimize", config_path=cfg, output_dir=str(out1), seed=7)
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 7
+        cli.run("minimize", config_path=str(out1 / "manifest.json"), output_dir=str(out2))
+        first = json.loads((out1 / "result.json").read_text())
+        replay = json.loads((out2 / "result.json").read_text())
+        assert len(first["start_values"]) == 5
+        assert replay["start_values"] == first["start_values"]
+
+    def test_skipped_fit_writes_strict_json(self, tmp_path, capsys):
+        # at alpha = 0 the constant wins, its maximum is interior and the
+        # instanton fit is skipped, leaving a NaN w_norm to serialize
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 0
+        json.loads((out / "manifest.json").read_text(), parse_constant=reject_constant)
+        res = json.loads((out / "result.json").read_text(), parse_constant=reject_constant)
+        assert res["diagnostics"]["fit"] is None
+        assert res["diagnostics"]["w_norm"] is None
+
 
 class TestSweepCommand:
     def test_outputs_and_replay(self, tmp_path, capsys):
@@ -161,6 +193,20 @@ class TestSweepCommand:
         row = body.decode().strip().splitlines()[1].split(",")
         assert row[2] in ("0", "1")
         assert float(row[1]) == pytest.approx(1.9432084455634135, rel=1e-13)
+
+    def test_level_decrease_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = cli.sweep_alpha
+
+        def violating(*args, **kwargs):
+            return replace(real(*args, **kwargs), monotone_violations=(1,))
+
+        monkeypatch.setattr(cli, "sweep_alpha", violating)
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 0.0, 1.0\n")
+        out = tmp_path / "run"
+        assert cli.run("sweep", config_path=cfg, output_dir=str(out)) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"] is not None
+        assert manifest["summary"]["monotone_violations"] == [1]
 
     def test_snapshot_per_alpha(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 0.0, 1.0\n")

@@ -166,8 +166,6 @@ class TestCapQuadrature:
         with pytest.raises(ConfigurationError):
             CapQuadrature(N=5, n_theta=8)
         with pytest.raises(ConfigurationError):
-            CapQuadrature(N=5, rule="trapezoid")
-        with pytest.raises(ConfigurationError):
             CapQuadrature(N=5, domain="torus")
         with pytest.raises(ConfigurationError):
             CapQuadrature(N=5, radius=-2.0)

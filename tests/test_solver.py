@@ -21,7 +21,6 @@ from neumannlab.errors import (
 from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy
 from neumannlab.nehari import project_t
 from neumannlab.solver import (
-    ArmijoRule,
     SolveConfig,
     _energy_solver,
     estimate_alpha0,
@@ -65,8 +64,6 @@ class TestConfigValidation:
             SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=0, seed=0)
         with pytest.raises(ConfigurationError):
             SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=0, threshold_slack=0.5)
-        with pytest.raises(ConfigurationError):
-            ArmijoRule(initial_step=-1.0)
 
 
 class TestEvaluateI:
