@@ -123,12 +123,15 @@ def _read_config_file(path: str) -> dict:
 def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
     """Merge file values and CLI overrides against the schema.
 
-    Unknown keys, missing required keys, and unparseable values are all
-    collected and reported together so one pass fixes the whole file.
+    Unknown keys (in the file or among the overrides, which includes
+    keys the subcommand does not take), missing required keys, and
+    unparseable values are all collected and reported together so one
+    pass fixes the whole file.
     """
     allowed = {k: row for k, row in CONFIG_SCHEMA.items() if subcommand in row[2]}
     problems = []
-    unknown = [k for k in raw if k not in allowed]
+    given = set(raw) | {k for k, v in overrides.items() if v is not None}
+    unknown = given - set(allowed)
     if unknown:
         problems.append("unknown keys: " + ", ".join(sorted(unknown)))
     merged = {}

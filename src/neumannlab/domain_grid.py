@@ -16,6 +16,12 @@ kept for the solver's Armijo rule, which measures the length of a
 descent move in it; the descent direction itself comes from the energy
 operator.
 
+The power masses integrate the bilinear interpolant with a 2x2 Gauss
+rule per cell.  One sparse operator G (a row per Gauss point of every
+cell, four corner weights per row) gives all Gauss-point values at once,
+so a single pass yields the masses and their nodal derivatives, and the
+energy operator's mass block is G^T diag(w) G.
+
 The gradient energy differences along cell edges: each term is the
 second-order centered derivative at an edge midpoint, squared, times the
 exact measure of the edge's dual cell.  The nodal-stencil alternative
@@ -81,8 +87,10 @@ class AxiGrid:
     mass: np.ndarray               # (n_r, n_theta), strictly positive
     r_edge_coeff: np.ndarray       # (n_r-1, n_theta): measure / h_r^2 per radial edge
     theta_edge_coeff: np.ndarray   # (n_r, n_theta-1): measure / (r h_theta)^2 per angular edge
-    subcell_lambda: tuple          # 4 corner-weight quadruples, one per Gauss point
-    subcell_w: tuple               # 4 arrays (n_r-1, n_theta-1); per cell they sum to its measure
+    gauss: sparse.csr_matrix       # G, (4 cells, nodes): the interpolant at every Gauss point
+    gauss_t: sparse.csr_matrix     # G^T stored by rows, so G^T x gathers per node
+    gauss_w: np.ndarray            # (4 cells,): Gauss weights, per cell summing to its measure
+    subcell_w: tuple               # 4 views (n_r-1, n_theta-1) of gauss_w, one per Gauss point
 
     @property
     def volume(self) -> float:
@@ -115,58 +123,41 @@ class AxiGrid:
             ]
         )
 
-    def _corner_views(self, values: np.ndarray):
-        return (
-            values[:-1, :-1],
-            values[1:, :-1],
-            values[:-1, 1:],
-            values[1:, 1:],
-        )
-
-    def power_masses(self, values: np.ndarray, qs) -> tuple:
+    def power_masses(self, values: np.ndarray, qs, gradients: bool = False):
         """int |u|^q for each q, with u the bilinear interpolant, by
         per-cell Gauss points whose weights are normalized to the exact
-        cell measure.
+        cell measure; with ``gradients`` also their nodal derivatives,
+        as ``(masses, derivatives)``.
+
+        One power |u_g|^(q-2) per exponent serves both: the mass is
+        sum w u_g^2 |u_g|^(q-2) and the derivative q G^T (w u_g |u_g|^(q-2)).
 
         Nodal lumping would overestimate these for peaked fields (the
         powers are convex), which lets under-resolved bumps undervalue
         their critical mass and pull the level below the continuum one;
         interpolating first removes that bias.
         """
-        corners = self._corner_views(values)
-        totals = [0.0] * len(qs)
-        for lam, w in zip(self.subcell_lambda, self.subcell_w):
-            ug = np.abs(
-                lam[0] * corners[0]
-                + lam[1] * corners[1]
-                + lam[2] * corners[2]
-                + lam[3] * corners[3]
-            )
-            for k, q in enumerate(qs):
-                totals[k] += float(np.sum(w * ug**q))
-        return tuple(totals)
-
-    def power_mass_gradients(self, values: np.ndarray, qs) -> tuple:
-        """Nodal derivatives of power_masses, one array per exponent."""
-        corners = self._corner_views(values)
-        outs = [np.zeros_like(values) for _ in qs]
-        for lam, w in zip(self.subcell_lambda, self.subcell_w):
-            ug = (
-                lam[0] * corners[0]
-                + lam[1] * corners[1]
-                + lam[2] * corners[2]
-                + lam[3] * corners[3]
-            )
-            aug = np.abs(ug)
-            sg = np.sign(ug)
-            for k, q in enumerate(qs):
-                p = w * q * aug ** (q - 1.0) * sg
-                out = outs[k]
-                out[:-1, :-1] += lam[0] * p
-                out[1:, :-1] += lam[1] * p
-                out[:-1, 1:] += lam[2] * p
-                out[1:, 1:] += lam[3] * p
-        return tuple(outs)
+        ug = self.gauss @ values.ravel()
+        # the Gauss-point temporaries share one block: |u_g|, w u_g^2, then
+        # a power row per exponent when derivatives follow, else one reused
+        work = np.empty((2 + (len(qs) if gradients else 1), ug.size))
+        aug, wu2 = work[0], work[1]
+        np.abs(ug, out=aug)
+        np.multiply(self.gauss_w, ug, out=wu2)
+        wu2 *= ug
+        masses = []
+        for k, q in enumerate(qs):
+            p = work[2 + k if gradients else 2]
+            np.power(aug, q - 2.0, out=p)
+            masses.append(float(p @ wu2))
+        if not gradients:
+            return tuple(masses)
+        wu = np.multiply(self.gauss_w, ug, out=aug)  # |u_g| is spent
+        derivs = []
+        for q, p in zip(qs, work[2:]):
+            p *= wu
+            derivs.append(q * (self.gauss_t @ p).reshape(values.shape))
+        return tuple(masses), tuple(derivs)
 
 
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
@@ -220,29 +211,30 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     theta_edge_coeff = area * np.outer(mr3, tedge / hth**2)
 
     # 2x2 Gauss rule per cell for the interpolant masses; renormalizing
-    # against the exact cell measure keeps constants machine-exact
-    cell_mass = area * np.outer(redge, tedge)
+    # against the exact cell measure keeps constants machine-exact.  Row
+    # k * cells + c of the operator interpolates cell c at Gauss point k
+    # from its corners (i, j), (i, j+1), (i+1, j), (i+1, j+1).
     g0 = 0.5 - 0.5 / np.sqrt(3.0)
     g1 = 0.5 + 0.5 / np.sqrt(3.0)
-    jac = []
-    lams = []
-    for xa in (g0, g1):
-        for yb in (g0, g1):
-            rg = r[:-1] + xa * hr
-            tg = theta[:-1] + yb * hth
-            jac.append(np.outer(rg ** (N - 1), np.sin(tg) ** (N - 2)))
-            lams.append(
-                (
-                    (1.0 - xa) * (1.0 - yb),
-                    xa * (1.0 - yb),
-                    (1.0 - xa) * yb,
-                    xa * yb,
-                )
-            )
-    jac_sum = jac[0] + jac[1] + jac[2] + jac[3]
-    subcell_w = tuple(cell_mass * j / jac_sum for j in jac)
+    points = [(xa, yb) for xa in (g0, g1) for yb in (g0, g1)]
+    jac = np.stack(
+        [np.outer((r[:-1] + xa * hr) ** (N - 1), np.sin(theta[:-1] + yb * hth) ** (N - 2))
+         for xa, yb in points]
+    )
+    cell_mass = area * np.outer(redge, tedge)
+    gauss_w = (cell_mass * jac / jac.sum(axis=0)).ravel()
+    subcell_w = tuple(gauss_w.reshape(jac.shape))
+    n_cells = cell_mass.size
+    lam = np.array([[(1 - xa) * (1 - yb), (1 - xa) * yb, xa * (1 - yb), xa * yb] for xa, yb in points])
+    corner = np.arange(n_r * n_theta, dtype=np.int32).reshape(n_r, n_theta)[:-1, :-1].ravel()
+    cols = corner[:, None] + np.array([0, 1, n_theta, n_theta + 1], dtype=np.int32)
+    gauss = sparse.csr_matrix(
+        (np.repeat(lam, n_cells, axis=0).ravel(), np.tile(cols, (4, 1)).ravel(),
+         np.arange(0, 16 * n_cells + 1, 4, dtype=np.int32)),
+        shape=(4 * n_cells, n_r * n_theta),
+    )
 
-    for arr in (r, theta, weights, mass, r_edge_coeff, theta_edge_coeff) + subcell_w:
+    for arr in (r, theta, weights, mass, r_edge_coeff, theta_edge_coeff, gauss_w) + subcell_w:
         arr.setflags(write=False)
 
     return AxiGrid(
@@ -257,7 +249,9 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
         mass=mass,
         r_edge_coeff=r_edge_coeff,
         theta_edge_coeff=theta_edge_coeff,
-        subcell_lambda=tuple(lams),
+        gauss=gauss,
+        gauss_t=gauss.T.tocsr(),
+        gauss_w=gauss_w,
         subcell_w=subcell_w,
     )
 
@@ -298,6 +292,23 @@ class NormReport:
         return self.triple.c
 
 
+def _norm_pass(field: Field, params: ProblemParams, gradients: bool):
+    """The field's NormReport and, with ``gradients``, the nodal
+    derivatives of its three power masses, from one kernel pass."""
+    g = field.grid
+    if g.N != params.N:
+        raise DomainError(f"grid dimension {g.N} != params dimension {params.N}")
+    u = field.values
+    if not np.any(u != 0.0):
+        raise DegenerateInputError("zero field has no norms")
+    grad2 = g.gradient_energy(u)
+    ex = params.exponents
+    out = g.power_masses(u, (2.0, float(ex.two_tilde), float(ex.two_star)), gradients=gradients)
+    (mass2, trace, critical), derivs = out if gradients else (out, None)
+    triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, g.N)
+    return NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace), derivs
+
+
 def norms(field: Field, params: ProblemParams) -> NormReport:
     """Quadrature norms entering I_alpha.
 
@@ -307,28 +318,16 @@ def norms(field: Field, params: ProblemParams) -> NormReport:
     face of the natural boundary condition.  The power masses integrate
     the bilinear interpolant per cell rather than lumping nodal values.
     """
-    g = field.grid
-    if g.N != params.N:
-        raise DomainError(f"grid dimension {g.N} != params dimension {params.N}")
-    u = field.values
-    if not np.any(u != 0.0):
-        raise DegenerateInputError("zero field has no norms")
-    grad2 = g.gradient_energy(u)
-    ts = float(params.exponents.two_star)
-    tt = float(params.exponents.two_tilde)
-    mass2, trace, critical = g.power_masses(u, (2.0, tt, ts))
-    triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, g.N)
-    return NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
+    return _norm_pass(field, params, gradients=False)[0]
 
 
 def norm_gradients(field: Field, params: ProblemParams):
-    """Discrete Gateaux derivatives of (a_bar, b, c) with respect to the
-    nodal values; each returned array has the field's shape."""
+    """The field's NormReport and the discrete Gateaux derivatives of
+    (a_bar, b, c) with respect to the nodal values, as
+    ``(report, d_abar, d_b, d_c)``; each array has the field's shape."""
+    rep, (d_mass2, d_trace, d_c) = _norm_pass(field, params, gradients=True)
     g = field.grid
     u = field.values
-    ts = float(params.exponents.two_star)
-    tt = float(params.exponents.two_tilde)
-    d_mass2, d_trace, d_c = g.power_mass_gradients(u, (2.0, tt, ts))
     fr = 2.0 * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
     ft = 2.0 * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
     d_abar = params.a * d_mass2
@@ -337,7 +336,7 @@ def norm_gradients(field: Field, params: ProblemParams):
     d_abar[:, 1:] += ft
     d_abar[:, :-1] -= ft
     d_b = params.alpha * d_trace
-    return d_abar, d_b, d_c
+    return rep, d_abar, d_b, d_c
 
 
 def _edge_difference(m: int) -> sparse.csr_matrix:
@@ -345,35 +344,24 @@ def _edge_difference(m: int) -> sparse.csr_matrix:
     return sparse.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m)).tocsr()
 
 
-def _interp_matrix(m: int, x: float) -> sparse.csr_matrix:
-    """(m-1) x m matrix evaluating linear interpolation at offset x."""
-    return sparse.diags(
-        [np.full(m - 1, 1.0 - x), np.full(m - 1, x)], [0, 1], shape=(m - 1, m)
-    ).tocsr()
-
-
 def energy_operator(grid: AxiGrid, a: float) -> sparse.csr_matrix:
     """Sparse symmetric Q with u^T Q u = |grad u|_2^2 + a |u|_2^2.
 
-    Assembled from the same edge coefficients and subcell rule as
-    norms(), so the quadratic part of the functional is exactly
-    u^T Q u; the subcell mass block makes Q strictly definite even on
-    the zero-weight axis nodes.
+    Assembled from the same edge coefficients and Gauss-point operator
+    G as norms(), so the quadratic part of the functional is exactly
+    u^T Q u; the mass block a G^T diag(w) G makes Q strictly definite
+    even on the zero-weight axis nodes.
     """
     if not a > 0:
         raise DomainError(f"a > 0 required, got {a}")
     n_r, n_th = grid.n_r, grid.n_theta
     e_r = sparse.kron(_edge_difference(n_r), sparse.identity(n_th, format="csr"), format="csr")
     e_th = sparse.kron(sparse.identity(n_r, format="csr"), _edge_difference(n_th), format="csr")
-    g0 = 0.5 - 0.5 / np.sqrt(3.0)
-    g1 = 0.5 + 0.5 / np.sqrt(3.0)
     q = (
         e_r.T @ sparse.diags(grid.r_edge_coeff.ravel()) @ e_r
         + e_th.T @ sparse.diags(grid.theta_edge_coeff.ravel()) @ e_th
+        + grid.gauss_t @ (sparse.diags(a * grid.gauss_w) @ grid.gauss)
     )
-    for w, (xa, yb) in zip(grid.subcell_w, ((g0, g0), (g0, g1), (g1, g0), (g1, g1))):
-        lam = sparse.kron(_interp_matrix(n_r, xa), _interp_matrix(n_th, yb), format="csr")
-        q = q + a * (lam.T @ sparse.diags(w.ravel()) @ lam)
     return q.tocsr()
 
 

@@ -32,6 +32,7 @@ from .errors import (
     ConfigurationError,
     DegenerateInputError,
     DomainError,
+    NumericalFailure,
     ResolutionError,
 )
 from .instanton import InstantonParams
@@ -63,6 +64,8 @@ class SolveConfig:
             )
         if self.max_iters < 1 or self.n_starts < 1:
             raise ConfigurationError("max_iters >= 1 and n_starts >= 1 required")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed >= 0 required, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -127,14 +130,13 @@ def gradient_I(field: Field, params) -> Field:
     the inner t is stationary, so only the explicit dependence on the
     triple differentiates.
     """
-    rep = norms(field, params)
+    rep, d_abar, d_b, d_c = norm_gradients(field, params)
     tr = rep.triple
     t = project_t(tr)
     psi = psi_from_projection(tr)
     ex = params.exponents
     ts = float(ex.two_star)
     tt = float(ex.two_tilde)
-    d_abar, d_b, d_c = norm_gradients(field, params)
     pref = 2.0 * (tr.N * psi) ** ((2.0 - tr.N) / tr.N)
     arr = pref * (t**2 / 2.0 * d_abar + t**tt / tt * d_b - t**ts / ts * d_c)
     return Field(field.grid, arr)
@@ -147,7 +149,9 @@ def _normalized(field: Field, params) -> Field:
 
 def _energy_solver(grid: AxiGrid, a: float):
     """Factorized action of Q^{-1} for the descent metric."""
-    lu = splu(energy_operator(grid, a).tocsc())
+    # Q is symmetric, so a minimum-degree ordering of Q^T + Q keeps the
+    # LU factors sparser than the default column ordering
+    lu = splu(energy_operator(grid, a).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def solve(arr: np.ndarray) -> np.ndarray:
         return lu.solve(arr.ravel()).reshape(arr.shape)
@@ -170,6 +174,8 @@ def _descend(start: Field, params, config: SolveConfig, solve_q):
     for iters in range(1, config.max_iters + 1):
         garr = gradient_I(u, params).values
         direction = solve_q(garr)
+        if not np.all(np.isfinite(direction)):
+            raise NumericalFailure(f"descent direction is not finite at iteration {iters}")
         gnorm = _dual_norm(garr, direction)
         if gnorm <= config.grad_tol:
             converged = True
@@ -183,6 +189,8 @@ def _descend(start: Field, params, config: SolveConfig, solve_q):
                 s *= BACKTRACK
                 continue
             move2 = float(np.sum(grid.mass * (trial_vals - u.values) ** 2))
+            if not math.isfinite(move2):
+                raise NumericalFailure(f"descent trial blew up at iteration {iters}")
             # the level is scaling-invariant, so judge the raw trial and
             # only rescale to |u|_{2*} = 1 once it is accepted
             trep = norms(Field(grid, trial_vals), params)
@@ -204,17 +212,17 @@ def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
 
     At v = t(u) u criticality of the free energy means
     (1/2) a_bar'(v) + (1/two_tilde) b'(v) - (1/two_star) c'(v) = 0 nodally;
-    this evaluates those derivatives at v directly, independent of the
+    this evaluates those derivatives directly, independent of the
     envelope chain used inside gradient_I, and measures them in the same
-    dual norm the descent uses for its stopping rule.
+    dual norm the descent uses for its stopping rule.  One kernel pass
+    at u gives them at v = t u, since a_bar, b and c are homogeneous of
+    degree 2, two_tilde and two_star.
     """
-    tr = norms(field, params).triple
-    t = project_t(tr)
-    v = Field(field.grid, t * field.values)
-    d_abar, d_b, d_c = norm_gradients(v, params)
+    rep, d_abar, d_b, d_c = norm_gradients(field, params)
+    t = project_t(rep.triple)
     ts = float(params.exponents.two_star)
     tt = float(params.exponents.two_tilde)
-    res = 0.5 * d_abar + d_b / tt - d_c / ts
+    res = 0.5 * t * d_abar + t ** (tt - 1.0) / tt * d_b - t ** (ts - 1.0) / ts * d_c
     if solve_q is None:
         solve_q = _energy_solver(field.grid, params.a)
     return _dual_norm(res, solve_q(res))

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from neumannlab import cli
+import numpy as np
+
+from neumannlab import cli, solver
 from neumannlab.constants import snapshot
 from neumannlab.domain_grid import load_field_snapshot
 
@@ -106,6 +108,23 @@ class TestConfigRejection:
         assert not (out / "manifest.json").exists()
 
 
+    def test_unknown_override_keys_listed(self, capsys):
+        assert cli.run("constants", overrides={"N": "5", "bogus": "1"}) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_foreign_override_key_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER)
+        assert cli.run("minimize", config_path=cfg, overrides={"alpha_list": "1, 2"}) == 2
+        assert "alpha_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["constants", "nehari-check", "instanton-verify"])
+    def test_seed_flag_rejected_without_solver(self, subcommand, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main([subcommand, "--out", str(out), "--seed", "3"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestMinimizeCommand:
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -137,6 +156,25 @@ class TestMinimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failure"] is not None
         assert (out / "result.json").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out), seed=-1) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        in_file = write_cfg(tmp_path / "neg.cfg", SMALL_SOLVER.replace("seed = 0", "seed = -1"))
+        assert cli.run("minimize", config_path=in_file) == 2
+
+    def test_descent_blowup_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            solver, "_energy_solver", lambda grid, a: lambda arr: np.full_like(arr, np.inf)
+        )
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 2.0\n")
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "not finite" in manifest["failure"]
 
     def test_seed_override_wins(self, tmp_path, capsys):
         out = tmp_path / "run"

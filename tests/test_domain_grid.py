@@ -145,6 +145,57 @@ class TestField:
         assert np.all(f.values == 2.5)
 
 
+def _corner_loop(grid, values, qs):
+    """Masses and nodal derivatives by an explicit loop over the four
+    Gauss points and the four corners of every cell."""
+    g0 = 0.5 - 0.5 / np.sqrt(3.0)
+    g1 = 0.5 + 0.5 / np.sqrt(3.0)
+    corners = (
+        (slice(None, -1), slice(None, -1)),
+        (slice(1, None), slice(None, -1)),
+        (slice(None, -1), slice(1, None)),
+        (slice(1, None), slice(1, None)),
+    )
+    masses = [0.0] * len(qs)
+    derivs = [np.zeros_like(values) for _ in qs]
+    points = [(xa, yb) for xa in (g0, g1) for yb in (g0, g1)]
+    for (xa, yb), w in zip(points, grid.subcell_w):
+        lam = ((1 - xa) * (1 - yb), xa * (1 - yb), (1 - xa) * yb, xa * yb)
+        ug = sum(l * values[c] for l, c in zip(lam, corners))
+        for k, q in enumerate(qs):
+            masses[k] += float(np.sum(w * np.abs(ug) ** q))
+            flux = w * q * np.abs(ug) ** (q - 1.0) * np.sign(ug)
+            for l, c in zip(lam, corners):
+                derivs[k][c] += l * flux
+    return masses, derivs
+
+
+class TestPowerMasses:
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_matches_corner_loop(self, N):
+        g = build_grid(N, 1.0, 40, 36, stretch=2.5)
+        p = make_params(N, 1.0, 1.0)
+        qs = (2.0, float(p.exponents.two_tilde), float(p.exponents.two_star))
+        u = np.random.default_rng(N).standard_normal((40, 36))
+        masses, derivs = g.power_masses(u, qs, gradients=True)
+        want_masses, want_derivs = _corner_loop(g, u, qs)
+        assert masses == pytest.approx(want_masses, rel=1e-12)
+        for got, want in zip(derivs, want_derivs):
+            assert got.shape == u.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert g.power_masses(u, qs) == masses
+
+    def test_operator_shape(self, grid64s):
+        g = grid64s
+        cells = (g.n_r - 1) * (g.n_theta - 1)
+        assert g.gauss.shape == (4 * cells, g.n_r * g.n_theta)
+        assert np.all(np.diff(g.gauss.indptr) == 4)
+        # each row interpolates, so a constant field is reproduced exactly
+        assert np.allclose(g.gauss @ np.ones(g.n_r * g.n_theta), 1.0, rtol=0, atol=1e-15)
+        assert g.gauss_w.shape == (4 * cells,)
+        assert all(np.shares_memory(w, g.gauss_w) for w in g.subcell_w)
+
+
 class TestNorms:
     def test_constant_field(self, grid64):
         p = make_params(5, 2.0, 0.7)
@@ -221,7 +272,7 @@ class TestNorms:
         p = make_params(5, 1.3, 0.8)
         rng = np.random.default_rng(11)
         u = 0.6 + 0.25 * rng.standard_normal((64, 64))
-        da, db, dc = norm_gradients(Field(grid64s, u), p)
+        _, da, db, dc = norm_gradients(Field(grid64s, u), p)
         h = 1e-6
         for _ in range(6):
             d = rng.standard_normal((64, 64))

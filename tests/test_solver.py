@@ -11,17 +11,19 @@ from neumannlab.constants import (
     make_params,
     sobolev_S,
 )
-from neumannlab.domain_grid import Field, build_grid, interpolate_instanton, norms
+from neumannlab.domain_grid import AxiGrid, Field, build_grid, interpolate_instanton, norms
 from neumannlab.errors import (
     BracketError,
     ConfigurationError,
     DegenerateInputError,
     DomainError,
+    NumericalFailure,
 )
 from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy
 from neumannlab.nehari import project_t
 from neumannlab.solver import (
     SolveConfig,
+    _descend,
     _energy_solver,
     estimate_alpha0,
     euler_lagrange_residual,
@@ -64,6 +66,56 @@ class TestConfigValidation:
             SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=0, seed=0)
         with pytest.raises(ConfigurationError):
             SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=0, threshold_slack=0.5)
+
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError):
+            SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=-1)
+
+
+def count_kernel_passes(monkeypatch):
+    calls = []
+    real = AxiGrid.power_masses
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("gradients", False))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AxiGrid, "power_masses", counted)
+    return calls
+
+
+class TestKernelPasses:
+    def test_gradient_is_one_pass(self, grid48, monkeypatch):
+        p = make_params(5, 1.0, 2.0)
+        f = interpolate_instanton(grid48, InstantonParams(0.3))
+        calls = count_kernel_passes(monkeypatch)
+        gradient_I(f, p)
+        assert calls == [True]
+
+    def test_residual_is_one_pass(self, grid48, monkeypatch):
+        p = make_params(5, 1.0, 2.0)
+        f = interpolate_instanton(grid48, InstantonParams(0.3))
+        solve = _energy_solver(grid48, p.a)
+        calls = count_kernel_passes(monkeypatch)
+        euler_lagrange_residual(f, p, solve)
+        assert calls == [True]
+
+
+class TestDescentBlowup:
+    def test_nonfinite_direction(self, grid48):
+        p = make_params(5, 1.0, 2.0)
+        start = interpolate_instanton(grid48, InstantonParams(0.3))
+        with pytest.raises(NumericalFailure, match="direction"):
+            _descend(start, p, quick_config(), lambda arr: np.full_like(arr, np.inf))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_trial(self, grid48):
+        # a finite direction so large that the trial step overflows
+        p = make_params(5, 1.0, 2.0)
+        start = interpolate_instanton(grid48, InstantonParams(0.3))
+        with pytest.raises(NumericalFailure, match="trial"):
+            _descend(start, p, quick_config(), lambda arr: 1e300 * arr / np.abs(arr).max())
 
 
 class TestEvaluateI:
