@@ -1,5 +1,3 @@
 """Numerical laboratory for a critical Neumann problem on the ball."""
 
 __version__ = "0.1.0"
-
-from . import cli, constants, domain_grid, errors, instanton, nehari, solver  # noqa: F401

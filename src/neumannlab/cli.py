@@ -33,8 +33,6 @@ from .instanton import expansion_suite
 from .nehari import NormTriple, big_I, lower_bound, project_t, psi, upper_bound_constant
 from .solver import SolveConfig, estimate_alpha0, minimize, sweep_alpha
 
-THREADS_ENV = "NEUMANNLAB_THREADS"
-
 # Geometric width ladder small enough for the quadratic small-width model
 # yet wide enough that Richardson extrapolation has leverage.
 DEFAULT_EPS = (0.00078125, 0.0015625, 0.003125, 0.00625, 0.0125)
@@ -461,24 +459,8 @@ HANDLERS = {
 SUBCOMMANDS = tuple(HANDLERS)
 
 
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ConfigurationError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-        else:
-            threads = 1
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigurationError(f"threads >= 1 required, got {threads}")
-    return threads
-
-
 def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
-        seed=None, threads=None) -> int:
+        seed=None, threads=1) -> int:
     """Execute one subcommand; returns the process exit code."""
     t0 = time.perf_counter()
     ctx = {"outputs": [], "summary": {}}
@@ -497,7 +479,8 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         if seed is not None:
             overrides["seed"] = seed
         cfg = resolve_config(subcommand, raw, overrides)
-        threads = _resolve_threads(threads)
+        if threads < 1:
+            raise ConfigurationError(f"threads >= 1 required, got {threads}")
         if output_dir is not None:
             os.makedirs(output_dir, exist_ok=True)
         code = HANDLERS[subcommand](cfg, output_dir, ctx, threads)
@@ -546,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help=f"multistart worker count (default ${THREADS_ENV} or 1)",
+            default=1,
+            help="multistart worker count (default 1)",
         )
         for key, (parse, _, commands) in CONFIG_SCHEMA.items():
             if name not in commands or key == "seed":

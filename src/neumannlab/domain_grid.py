@@ -1,20 +1,14 @@
 """Axisymmetric tensor grid on the ball with exact-cell quadrature.
 
 Fields live on a polar (r, theta) grid, symmetric about the axis through
-the north-pole boundary point.  Quadrature weights are control-volume
-exact: each node owns the cell between the midpoints to its neighbors,
-and the cell masses int r^{N-1} dr and int sin^{N-2}(theta) dtheta are
+the north-pole boundary point.  Node masses are control-volume exact:
+each node owns the cell between the midpoints to its neighbors, and the
+cell masses int r^{N-1} dr and int sin^{N-2}(theta) dtheta are
 evaluated in closed form (power rule and incomplete beta function), so
-the weights sum to the exact ball volume at machine precision.
-
-Coordinate-singular nodes (r = 0, theta = 0, theta = pi) represent sets
-of measure zero.  Their cell mass is merged into the adjacent node and
-their own weight is exactly zero; for N >= 5 the merged slivers carry
-O(h^N) mass, so the merge costs nothing at quadrature order.  A separate
-strictly positive per-node mass vector (the unmerged control volumes) is
-kept for the solver's Armijo rule, which measures the length of a
-descent move in it; the descent direction itself comes from the energy
-operator.
+the masses sum to the exact ball volume at machine precision.  They are
+strictly positive and serve the solver's Armijo rule, which measures the
+length of a descent move in them; the descent direction itself comes
+from the energy operator.
 
 The power masses integrate the bilinear interpolant with a 2x2 Gauss
 rule per cell.  One sparse operator G (a row per Gauss point of every
@@ -37,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -74,7 +68,7 @@ def _cumulative_sin_power(phi: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AxiGrid:
-    """Immutable (r, theta) tensor grid with exact quadrature weights."""
+    """Immutable (r, theta) tensor grid with exact cell masses."""
 
     N: int
     R: float
@@ -83,8 +77,7 @@ class AxiGrid:
     stretch: float
     r: np.ndarray
     theta: np.ndarray
-    weights: np.ndarray            # (n_r, n_theta), axis nodes exactly zero
-    mass: np.ndarray               # (n_r, n_theta), strictly positive
+    mass: np.ndarray               # (n_r, n_theta), strictly positive control volumes
     r_edge_coeff: np.ndarray       # (n_r-1, n_theta): measure / h_r^2 per radial edge
     theta_edge_coeff: np.ndarray   # (n_r, n_theta-1): measure / (r h_theta)^2 per angular edge
     gauss: sparse.csr_matrix       # G, (4 cells, nodes): the interpolant at every Gauss point
@@ -94,7 +87,7 @@ class AxiGrid:
 
     @property
     def volume(self) -> float:
-        return float(self.weights.sum())
+        return float(self.mass.sum())
 
     @property
     def min_boundary_spacing(self) -> float:
@@ -102,9 +95,6 @@ class AxiGrid:
         dr = self.r[-1] - self.r[-2]
         dth = self.R * (self.theta[1] - self.theta[0])
         return float(min(dr, dth))
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
 
     def gradient_energy(self, values: np.ndarray) -> float:
         """The quadratic form |grad u|_2^2 over the edge dual cells."""
@@ -161,7 +151,7 @@ class AxiGrid:
 
 
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
-    """Tensor grid whose weights sum to the exact ball volume.
+    """Tensor grid whose node masses sum to the exact ball volume.
 
     ``stretch`` > 0 clusters r-nodes toward the boundary r = R and
     theta-nodes toward the axis theta = 0 (where boundary concentration
@@ -188,17 +178,6 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     angular_cells = np.diff(cum)
 
     mass = area * np.outer(radial_cells, angular_cells)
-
-    # merge singular-node cells into the neighbor, then zero them
-    rc = radial_cells.copy()
-    rc[1] += rc[0]
-    rc[0] = 0.0
-    ac = angular_cells.copy()
-    ac[1] += ac[0]
-    ac[0] = 0.0
-    ac[-2] += ac[-1]
-    ac[-1] = 0.0
-    weights = area * np.outer(rc, ac)
 
     # dual-cell measures for the edge-midpoint gradient energy; measures
     # int r^{N-1} and int r^{N-3} are exact, the latter finite since N >= 5
@@ -234,7 +213,7 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
         shape=(4 * n_cells, n_r * n_theta),
     )
 
-    for arr in (r, theta, weights, mass, r_edge_coeff, theta_edge_coeff, gauss_w) + subcell_w:
+    for arr in (r, theta, mass, r_edge_coeff, theta_edge_coeff, gauss_w) + subcell_w:
         arr.setflags(write=False)
 
     return AxiGrid(
@@ -245,7 +224,6 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
         stretch=float(stretch),
         r=r,
         theta=theta,
-        weights=weights,
         mass=mass,
         r_edge_coeff=r_edge_coeff,
         theta_edge_coeff=theta_edge_coeff,
@@ -286,10 +264,6 @@ class NormReport:
     grad2: float
     mass2: float
     trace_mass: float
-
-    @property
-    def critical_mass(self) -> float:
-        return self.triple.c
 
 
 def _norm_pass(field: Field, params: ProblemParams, gradients: bool):
@@ -399,14 +373,13 @@ def save_field_snapshot(field: Field, csv_path, json_path) -> None:
             sort_keys=True,
         )
         fh.write("\n")
+    # one row per node, r major; CRLF rows as the csv module writes them
+    rows = np.column_stack(
+        [np.repeat(g.r, g.n_theta), np.tile(g.theta, g.n_r), field.values.ravel()]
+    )
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta", "value"])
-        for i in range(g.n_r):
-            for j in range(g.n_theta):
-                writer.writerow(
-                    ["%.17g" % g.r[i], "%.17g" % g.theta[j], "%.17g" % field.values[i, j]]
-                )
+        fh.write("r,theta,value\r\n")
+        fh.write(("%.17g,%.17g,%.17g\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def load_field_snapshot(csv_path, json_path) -> Field:

@@ -27,14 +27,7 @@ from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
 from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms
-from .errors import (
-    BracketError,
-    ConfigurationError,
-    DegenerateInputError,
-    DomainError,
-    NumericalFailure,
-    ResolutionError,
-)
+from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure, ResolutionError
 from .instanton import InstantonParams
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
 
@@ -69,14 +62,6 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
-class InstantonFit:
-    params: Optional[InstantonParams]
-    w_norm: float
-    boundary: bool
-    message: str
-
-
-@dataclass(frozen=True)
 class BlowupDiagnostics:
     M: float
     delta_M: float
@@ -84,6 +69,7 @@ class BlowupDiagnostics:
     fit: Optional[InstantonParams]
     w_norm: float
     boundary_flag: bool
+    message: str
 
 
 @dataclass(frozen=True)
@@ -123,6 +109,23 @@ def evaluate_I(field: Field, params) -> float:
     return big_I(norms(field, params).triple)
 
 
+def _first_variation(field: Field, params):
+    """The field's NormReport, its projection multiplier t, and the nodal
+    first variation dPsi = t^2/2 a_bar' + t^tt/tt b' - t^ts/ts c' of the
+    reduced energy Psi(u) = E(t(u) u), all from one kernel pass.
+
+    The inner t is stationary, so only the explicit u differentiates; by
+    homogeneity of degrees 2, two_tilde and two_star, dPsi = t E'(t u).
+    gradient_I scales dPsi by its envelope prefactor, and the
+    Euler-Lagrange residual measures dPsi / t.
+    """
+    rep, d_abar, d_b, d_c = norm_gradients(field, params)
+    t = project_t(rep.triple)
+    ts = float(params.exponents.two_star)
+    tt = float(params.exponents.two_tilde)
+    return rep, t, t**2 / 2.0 * d_abar + t**tt / tt * d_b - t**ts / ts * d_c
+
+
 def gradient_I(field: Field, params) -> Field:
     """Nodal derivative of I via the envelope theorem.
 
@@ -130,21 +133,10 @@ def gradient_I(field: Field, params) -> Field:
     the inner t is stationary, so only the explicit dependence on the
     triple differentiates.
     """
-    rep, d_abar, d_b, d_c = norm_gradients(field, params)
+    rep, _, d_psi = _first_variation(field, params)
     tr = rep.triple
-    t = project_t(tr)
-    psi = psi_from_projection(tr)
-    ex = params.exponents
-    ts = float(ex.two_star)
-    tt = float(ex.two_tilde)
-    pref = 2.0 * (tr.N * psi) ** ((2.0 - tr.N) / tr.N)
-    arr = pref * (t**2 / 2.0 * d_abar + t**tt / tt * d_b - t**ts / ts * d_c)
-    return Field(field.grid, arr)
-
-
-def _normalized(field: Field, params) -> Field:
-    c = norms(field, params).triple.c
-    return Field(field.grid, field.values / c ** (1.0 / float(params.exponents.two_star)))
+    pref = 2.0 * (tr.N * psi_from_projection(tr)) ** ((2.0 - tr.N) / tr.N)
+    return Field(field.grid, pref * d_psi)
 
 
 def _energy_solver(grid: AxiGrid, a: float):
@@ -166,8 +158,12 @@ def _dual_norm(garr: np.ndarray, solved: np.ndarray) -> float:
 def _descend(start: Field, params, config: SolveConfig, solve_q):
     grid = start.grid
     ts = float(params.exponents.two_star)
-    u = _normalized(Field(grid, np.maximum(start.values, 0.0)), params)
-    f = evaluate_I(u, params)
+    # the level is scaling-invariant, so one pass over the clipped start
+    # gives both its level and the scale that pins |u|_{2*} = 1
+    clipped = np.maximum(start.values, 0.0)
+    tr = norms(Field(grid, clipped), params).triple
+    u = Field(grid, clipped / tr.c ** (1.0 / ts))
+    f = big_I(tr)
     step = INITIAL_STEP
     iters = 0
     converged = False
@@ -210,54 +206,55 @@ def _descend(start: Field, params, config: SolveConfig, solve_q):
 def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
     """Weak residual of the rescaled field on the natural constraint.
 
-    At v = t(u) u criticality of the free energy means
-    (1/2) a_bar'(v) + (1/two_tilde) b'(v) - (1/two_star) c'(v) = 0 nodally;
-    this evaluates those derivatives directly, independent of the
-    envelope chain used inside gradient_I, and measures them in the same
-    dual norm the descent uses for its stopping rule.  One kernel pass
-    at u gives them at v = t u, since a_bar, b and c are homogeneous of
-    degree 2, two_tilde and two_star.
+    At v = t(u) u criticality of the free energy means E'(v) =
+    (1/2) a_bar'(v) + (1/two_tilde) b'(v) - (1/two_star) c'(v) = 0 nodally.
+    E'(v) is dPsi / t, the first variation that gradient_I scales by its
+    envelope prefactor, so the residual equals the dual norm of
+    gradient_I divided by that prefactor and t.  It is measured in the
+    dual norm the descent uses for its stopping rule.
     """
-    rep, d_abar, d_b, d_c = norm_gradients(field, params)
-    t = project_t(rep.triple)
-    ts = float(params.exponents.two_star)
-    tt = float(params.exponents.two_tilde)
-    res = 0.5 * t * d_abar + t ** (tt - 1.0) / tt * d_b - t ** (ts - 1.0) / ts * d_c
+    _, t, d_psi = _first_variation(field, params)
+    res = d_psi / t
     if solve_q is None:
         solve_q = _energy_solver(field.grid, params.a)
     return _dual_norm(res, solve_q(res))
 
 
-def fit_instanton(field: Field) -> InstantonFit:
-    """Least-squares bubble fit (C, eps) at the field's boundary maximum.
+def fit_instanton(field: Field) -> BlowupDiagnostics:
+    """Blow-up diagnostics of the field: its maximum M at P, the blow-up
+    length delta_M = M^{-2/(N-2)}, whether P is a boundary node, and the
+    least-squares bubble fit (C, eps) there.
 
     The distance minimized is the gradient seminorm of the difference,
-    the same distance the blow-up diagnostics quote.  The center is
+    the same distance the diagnostics quote as w_norm.  The center is
     pinned to the north-pole boundary point; an interior (or off-axis)
     maximum means the field is not concentrating there, and the fit is
     skipped with a message instead of forced.
     """
     grid = field.grid
     i, j = np.unravel_index(int(np.argmax(field.values)), field.values.shape)
-    boundary = i == grid.n_r - 1
     M = float(field.values[i, j])
     delta_M = M ** (-2.0 / (grid.N - 2))
+    r_i, th_j = float(grid.r[i]), float(grid.theta[j])
+    skipped = BlowupDiagnostics(
+        M=M,
+        delta_M=delta_M,
+        P=(r_i, th_j),
+        fit=None,
+        w_norm=float("nan"),
+        boundary_flag=bool(i == grid.n_r - 1),
+        message="maximum not at an axis boundary point; fit skipped",
+    )
     # the argmax of a noisy concentrating profile wanders within the
     # bubble core (many stretched nodes fit inside it), so gate on the
     # physical distance from the peak to the nearer pole corner, scaled
     # by the blow-up length
-    r_i, th_j = float(grid.r[i]), float(grid.theta[j])
     cross = 2.0 * r_i * grid.R * math.cos(th_j)
     d2_north = r_i**2 + grid.R**2 - cross
     d2_south = r_i**2 + grid.R**2 + cross
     dist = math.sqrt(min(d2_north, d2_south))
     if dist > min(max(2.0 * delta_M, 4.0 * grid.min_boundary_spacing), 0.2 * grid.R):
-        return InstantonFit(
-            params=None,
-            w_norm=float("nan"),
-            boundary=boundary,
-            message="maximum not at an axis boundary point; fit skipped",
-        )
+        return skipped
     if d2_south < d2_north:
         # mirror so the peak sits at theta = 0
         field = Field(grid, field.values[:, ::-1])
@@ -278,29 +275,11 @@ def fit_instanton(field: Field) -> InstantonFit:
         gtol=1e-12,
     )
     C_fit, eps_fit = sol.x
-    w_norm = float(np.linalg.norm(sol.fun))
-    return InstantonFit(
-        params=InstantonParams(eps=float(max(eps_fit, eps_floor)), amplitude=float(max(C_fit, 1e-12))),
-        w_norm=w_norm,
-        boundary=boundary,
+    return replace(
+        skipped,
+        fit=InstantonParams(eps=float(max(eps_fit, eps_floor)), amplitude=float(max(C_fit, 1e-12))),
+        w_norm=float(np.linalg.norm(sol.fun)),
         message="ok",
-    )
-
-
-def _diagnostics(field: Field, params) -> BlowupDiagnostics:
-    grid = field.grid
-    tr = norms(field, params).triple
-    v = Field(grid, project_t(tr) * field.values)
-    i, j = np.unravel_index(int(np.argmax(v.values)), v.values.shape)
-    M = float(v.values[i, j])
-    fit = fit_instanton(v)
-    return BlowupDiagnostics(
-        M=M,
-        delta_M=M ** (-2.0 / (grid.N - 2)),
-        P=(float(grid.r[i]), float(grid.theta[j])),
-        fit=fit.params,
-        w_norm=fit.w_norm,
-        boundary_flag=bool(i == grid.n_r - 1),
     )
 
 
@@ -334,7 +313,7 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, th
         triple=tr,
         iterations=iters,
         converged=converged,
-        diagnostics=_diagnostics(u, params),
+        diagnostics=fit_instanton(Field(grid, project_t(tr) * u.values)),
         el_residual=euler_lagrange_residual(u, params, solve_q),
         start_values=start_values,
     )
@@ -444,16 +423,14 @@ def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket, th
             f"{threshold:.6f}; move the upper bracket up"
         )
 
-    warm = res_lo.minimizer
+    s_lo, s_hi, warm = res_lo.S_alpha_est, res_hi.S_alpha_est, res_lo.minimizer
     while hi - lo > 1e-3 * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         res_mid = level_at(mid, warm)
         if res_mid.S_alpha_est < threshold:
-            lo, warm = mid, res_mid.minimizer
+            lo, s_lo, warm = mid, res_mid.S_alpha_est, res_mid.minimizer
         else:
-            hi = mid
-    s_lo = next(s for a, s in reversed(evals) if a == lo)
-    s_hi = next(s for a, s in reversed(evals) if a == hi)
+            hi, s_hi = mid, res_mid.S_alpha_est
     return Alpha0Result(
         alpha_hat=0.5 * (lo + hi),
         certificate_below=(lo, s_lo),

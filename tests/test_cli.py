@@ -360,24 +360,6 @@ class TestInstantonVerifyCommand:
 
 
 class TestThreads:
-    def test_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        out = tmp_path / "run"
-        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
-        cli.run("minimize", config_path=cfg, output_dir=str(out))
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 2
-
-    def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        out = tmp_path / "run"
-        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
-        cli.run("minimize", config_path=cfg, output_dir=str(out), threads=1)
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
-
-    def test_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "oops")
-        assert cli.run("constants") == 2
-
     def test_nonpositive_rejected(self, capsys):
         assert cli.run("constants", threads=0) == 2
 

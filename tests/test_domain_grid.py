@@ -1,5 +1,6 @@
 """Grid construction, quadrature weights, norms, interpolation, snapshots."""
 
+import csv
 import json
 
 import numpy as np
@@ -62,13 +63,9 @@ class TestBuildGrid:
             assert g.volume == pytest.approx(ball_volume(N, 1.3), rel=1e-12)
 
     def test_weights_nonnegative_axis_zero(self, grid64s):
-        w = grid64s.weights
-        assert np.all(w >= 0.0)
-        assert np.all(w[0, :] == 0.0)   # r = 0
-        assert np.all(w[:, 0] == 0.0)   # theta = 0
-        assert np.all(w[:, -1] == 0.0)  # theta = pi
+        # the node masses are strictly positive, axis nodes included
         assert np.all(grid64s.mass > 0.0)
-        assert grid64s.mass.sum() == pytest.approx(grid64s.volume, rel=1e-12)
+        assert grid64s.mass.sum() == pytest.approx(ball_volume(5, 1.0), rel=1e-12)
 
     def test_subcell_weights_sum_to_volume(self, grid64s):
         total = sum(float(w.sum()) for w in grid64s.subcell_w)
@@ -76,23 +73,12 @@ class TestBuildGrid:
         for w in grid64s.subcell_w:
             assert np.all(w > 0.0)
 
-    def test_r_squared_quadrature(self):
-        # nodal composite rule is second order; refinement reaches 1e-6
-        exact = ball_volume(5, 1.0) * 5.0 / 7.0  # int r^2 = vol * N/(N+2)
-        errs = []
-        for n in (256, 1024):
-            g = build_grid(5, 1.0, n, n)
-            approx = g.integrate(g.r[:, None] ** 2 * np.ones_like(g.weights))
-            errs.append(abs(approx - exact) / exact)
-        assert errs[1] < 1e-6
-        assert errs[1] < errs[0] / 8.0  # consistent with second order
-
     def test_r_squared_subcell_rule(self):
         # the interpolant rule is sharper: r is linear on cells, so only
         # the in-cell weight split contributes error
         g = build_grid(5, 1.0, 256, 256)
-        exact = ball_volume(5, 1.0) * 5.0 / 7.0
-        approx = g.power_masses(np.broadcast_to(g.r[:, None], g.weights.shape), (2.0,))[0]
+        exact = ball_volume(5, 1.0) * 5.0 / 7.0  # int r^2 = vol * N/(N+2)
+        approx = g.power_masses(np.broadcast_to(g.r[:, None], g.mass.shape), (2.0,))[0]
         assert abs(approx - exact) / exact < 1e-8
 
     def test_nodes_cover_closed_ranges(self, grid64):
@@ -123,7 +109,7 @@ class TestBuildGrid:
 
     def test_grid_immutable(self, grid64):
         with pytest.raises(ValueError):
-            grid64.weights[3, 3] = 1.0
+            grid64.mass[3, 3] = 1.0
         with pytest.raises(ValueError):
             grid64.r[0] = 0.5
 
@@ -388,6 +374,23 @@ class TestSnapshots:
         save_field_snapshot(f, tmp_path / "f.csv", tmp_path / "f.json")
         header = json.loads((tmp_path / "f.json").read_text())
         assert header == {"N": 6, "R": 2.0, "n_r": 32, "n_theta": 32, "stretch": 0.0}
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # the snapshot body is what a csv.writer loop over the nodes writes
+        g = build_grid(5, 1.0, 32, 33, stretch=2.0)
+        rng = np.random.default_rng(4)
+        f = Field(g, rng.standard_normal((32, 33)) * 10.0 ** rng.integers(-20, 20, (32, 33)))
+        f.values[0, 0] = -0.0
+        save_field_snapshot(f, tmp_path / "f.csv", tmp_path / "f.json")
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", "theta", "value"])
+            for i in range(g.n_r):
+                for j in range(g.n_theta):
+                    writer.writerow(
+                        ["%.17g" % g.r[i], "%.17g" % g.theta[j], "%.17g" % f.values[i, j]]
+                    )
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_truncated_csv_rejected(self, tmp_path):
         g = build_grid(5, 1.0, 32, 32)

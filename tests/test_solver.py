@@ -20,7 +20,7 @@ from neumannlab.errors import (
     NumericalFailure,
 )
 from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy
-from neumannlab.nehari import project_t
+from neumannlab.nehari import project_t, psi_from_projection
 from neumannlab.solver import (
     SolveConfig,
     _descend,
@@ -100,6 +100,16 @@ class TestKernelPasses:
         calls = count_kernel_passes(monkeypatch)
         euler_lagrange_residual(f, p, solve)
         assert calls == [True]
+
+    def test_descent_start_is_one_pass(self, grid48, monkeypatch):
+        # the clipped start's level and scale come from one pass, ahead of
+        # the first gradient
+        p = make_params(5, 1.0, 2.0)
+        f = interpolate_instanton(grid48, InstantonParams(0.3))
+        solve = _energy_solver(grid48, p.a)
+        calls = count_kernel_passes(monkeypatch)
+        _descend(f, p, quick_config(max_iters=1), solve)
+        assert calls[: calls.index(True)] == [False]
 
 
 class TestDescentBlowup:
@@ -279,9 +289,9 @@ class TestFitInstanton:
         g = build_grid(5, 1.0, 128, 128, stretch=3.0)
         f = interpolate_instanton(g, InstantonParams(eps=0.05))
         fit = fit_instanton(f)
-        assert fit.params is not None
-        assert fit.params.amplitude == pytest.approx(1.0, abs=1e-3)
-        assert fit.params.eps == pytest.approx(0.05, abs=1e-3)
+        assert fit.fit is not None
+        assert fit.fit.amplitude == pytest.approx(1.0, abs=1e-3)
+        assert fit.fit.eps == pytest.approx(0.05, abs=1e-3)
         assert fit.w_norm <= 1e-6 * np.sqrt(g.gradient_energy(f.values))
 
     def test_noisy_fit(self):
@@ -290,15 +300,15 @@ class TestFitInstanton:
         rng = np.random.default_rng(13)
         noisy = Field(g, f.values * (1.0 + 0.01 * rng.standard_normal(f.values.shape)))
         fit = fit_instanton(noisy)
-        assert fit.params is not None
-        assert fit.params.amplitude == pytest.approx(1.0, abs=2e-2)
+        assert fit.fit is not None
+        assert fit.fit.amplitude == pytest.approx(1.0, abs=2e-2)
 
     def test_interior_maximum_skipped(self, grid48):
         vals = np.ones((48, 48))
         vals[20, 20] = 5.0
         fit = fit_instanton(Field(grid48, vals))
-        assert fit.params is None
-        assert not fit.boundary
+        assert fit.fit is None
+        assert not fit.boundary_flag
         assert np.isnan(fit.w_norm)
         assert "skipped" in fit.message
 
@@ -307,8 +317,8 @@ class TestFitInstanton:
         f = interpolate_instanton(g, InstantonParams(eps=0.08))
         mirrored = Field(g, f.values[:, ::-1])
         fit = fit_instanton(mirrored)
-        assert fit.params is not None
-        assert fit.params.eps == pytest.approx(0.08, abs=1e-3)
+        assert fit.fit is not None
+        assert fit.fit.eps == pytest.approx(0.08, abs=1e-3)
 
 
 class TestEulerLagrange:
@@ -327,6 +337,19 @@ class TestEulerLagrange:
         r1 = euler_lagrange_residual(Field(grid48, u), p)
         r2 = euler_lagrange_residual(Field(grid48, 5.0 * u), p)
         assert r1 == pytest.approx(r2, rel=1e-8)
+
+    def test_residual_is_scaled_gradient(self, grid48):
+        # both read one first variation: the residual is the dual norm of
+        # gradient_I over its envelope prefactor and the multiplier t
+        p = make_params(5, 1.0, 2.0)
+        rng = np.random.default_rng(3)
+        f = Field(grid48, 0.5 + rng.random((48, 48)))
+        solve = _energy_solver(grid48, p.a)
+        g = gradient_I(f, p).values
+        tr = norms(f, p).triple
+        pref = 2.0 * (5.0 * psi_from_projection(tr)) ** (-3.0 / 5.0)
+        want = np.sqrt(np.sum(g * solve(g))) / (pref * project_t(tr))
+        assert euler_lagrange_residual(f, p, solve) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
