@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -243,6 +244,7 @@ def _result_payload(res) -> dict:
         "converged": bool(res.converged),
         "el_residual": res.el_residual,
         "start_values": list(res.start_values),
+        "starts": [dataclasses.asdict(st) for st in res.starts],
         "diagnostics": {
             "M": d.M,
             "delta_M": d.delta_M,
@@ -382,9 +384,10 @@ def _run_minimize(cfg, out_dir, ctx, threads):
         ctx["outputs"] += ["result.json", "field_final.csv", "field_final.json"]
     ctx["summary"] = {"S_alpha_est": res.S_alpha_est, "converged": bool(res.converged)}
     if not res.converged:
+        reasons = ", ".join(st.stop_reason for st in res.starts)
         raise NumericalFailure(
-            f"descent hit max_iters={solve_config.max_iters} at dual gradient norm above "
-            f"grad_tol={solve_config.grad_tol}"
+            f"the lowest start stopped above grad_tol={solve_config.grad_tol} "
+            f"(max_iters={solve_config.max_iters}; stop reasons by start: {reasons})"
         )
     return 0
 

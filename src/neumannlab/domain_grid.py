@@ -6,9 +6,10 @@ each node owns the cell between the midpoints to its neighbors, and the
 cell masses int r^{N-1} dr and int sin^{N-2}(theta) dtheta are
 evaluated in closed form (power rule and incomplete beta function), so
 the masses sum to the exact ball volume at machine precision.  They are
-strictly positive and serve the solver's Armijo rule, which measures the
-length of a descent move in them; the descent direction itself comes
-from the energy operator.
+strictly positive; ``volume`` sums them, and the solver measures the
+length of a descent trial's move in them to detect a step that
+overflows.  The descent direction and its line search come from the
+energy operator and the power masses below.
 
 The power masses integrate the bilinear interpolant with a 2x2 Gauss
 rule per cell.  One sparse operator G (a row per Gauss point of every

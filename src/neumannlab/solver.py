@@ -2,24 +2,38 @@
 
 The functional minimized is the degree-0 homogeneous I of the field's
 norm triple, so no Nehari-manifold retraction is needed; the projection
-onto the manifold is absorbed into the closed-form t(u).  Descent
-directions are Q^{-1} applied to the nodal derivative, with Q the
-energy operator (stiffness plus consistent mass): the Riesz
-representative of the derivative in the energy metric.  Plain nodal
-derivatives chase the fine boundary cells of a stretched mesh and stall.
-The stopping rule is the dual norm of the derivative in the same metric.
+onto the manifold is absorbed into the closed-form t(u).
 
-Each accepted step clips to the nonnegative cone (every term of the
-functional is even in u except the positivity the ground state wants)
-and renormalizes the critical mass to 1 to pin the scale direction.
+Descent is projected L-BFGS in the energy metric.  Q, the energy
+operator (stiffness plus consistent mass), is the Riesz map of that
+metric: z = Q^{-1} g is the gradient of I as a field, and the stopping
+rule is the dual norm sqrt(g . z) of the nodal derivative g.  Plain
+nodal derivatives chase the fine boundary cells of a stretched mesh and
+stall.  The two-loop recursion applies the limited-memory inverse
+Hessian, seeded with gamma Q^{-1}, gamma = s.y / y.Q^{-1}y from the
+newest pair, to g.  Q^{-1} is linear, so Q^{-1} of the recursion's
+dual combination g - sum a_k y_k is the same combination
+z - sum a_k dz_k of primal vectors, dz_k = Q^{-1} y_k = z_{k+1} - z_k.
+Each pair therefore keeps its dz, and an iteration makes exactly one
+Q^{-1} solve, the one for the new gradient.
+
+A trial takes the unit step along that direction and clips to the
+nonnegative cone (every term of the functional is even in u except the
+positivity the ground state wants); it is accepted under the Armijo
+rule on the projected path, f(trial) <= f + c g . (trial - u), and the
+step is halved otherwise.  Pairs with s.y <= 0 are dropped.  When the
+line search fails the history is cleared and the search retried along
+z; a second failure stops the descent.  Each accepted iterate is
+rescaled to critical mass 1 to pin the scale direction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import optimize
@@ -38,6 +52,11 @@ INITIAL_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 40
+# L-BFGS memory: curvature pairs kept for the two-loop recursion
+HISTORY = 5
+# starts whose final levels agree to this relative tolerance tie, and
+# the earliest listed one wins
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,6 +101,28 @@ class SolveResult:
     diagnostics: BlowupDiagnostics
     el_residual: float
     start_values: tuple
+    starts: tuple                 # one StartRecord per start, in start order
+
+
+@dataclass(frozen=True)
+class StartRecord:
+    """What one start's descent did: accepted steps, final level, final
+    dual gradient norm, and why it stopped (``converged``, ``max_iters``
+    or ``line_search``)."""
+    iterations: int
+    level: float
+    grad_norm: float
+    stop_reason: str
+
+
+class Descent(NamedTuple):
+    field: Field
+    level: float
+    iterations: int
+    converged: bool
+    start_level: float
+    grad_norm: float
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -155,52 +196,97 @@ def _dual_norm(garr: np.ndarray, solved: np.ndarray) -> float:
     return float(math.sqrt(max(np.sum(garr * solved), 0.0)))
 
 
-def _descend(start: Field, params, config: SolveConfig, solve_q):
+def _lbfgs_direction(garr: np.ndarray, zarr: np.ndarray, history) -> np.ndarray:
+    """H g by the two-loop recursion, H0 = gamma Q^{-1}, with no solve.
+
+    ``zarr`` is Q^{-1} g and ``history`` holds (s, y, dz, rho) oldest
+    first, dz = Q^{-1} y and rho = 1 / s.y.  The first loop carries the
+    dual vector q = g - sum a_k y_k beside its primal image
+    z - sum a_k dz_k = Q^{-1} q.  An empty history gives z itself.
+    """
+    if not history:
+        return zarr
+    q, zq = garr.copy(), zarr.copy()
+    coeffs = []
+    for s, y, dz, rho in reversed(history):
+        a = rho * float(np.vdot(s, q))
+        q -= a * y
+        zq -= a * dz
+        coeffs.append(a)
+    s, y, dz, rho = history[-1]
+    r = zq
+    r *= float(np.vdot(s, y)) / float(np.vdot(y, dz))
+    for (s, y, _, rho), a in zip(history, reversed(coeffs)):
+        r += (a - rho * float(np.vdot(y, r))) * s
+    return r
+
+
+def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     grid = start.grid
     ts = float(params.exponents.two_star)
+
+    def riesz(u, k):
+        garr = gradient_I(u, params).values
+        zarr = solve_q(garr)
+        if not np.all(np.isfinite(zarr)):
+            raise NumericalFailure(f"descent direction is not finite at iteration {k}")
+        return garr, zarr
+
+    def line_search(u, f, garr, direction, k):
+        s = INITIAL_STEP
+        for _ in range(MAX_BACKTRACKS):
+            trial_vals = np.maximum(u.values - s * direction, 0.0)
+            s *= BACKTRACK
+            move = trial_vals - u.values
+            if not math.isfinite(float(np.sum(grid.mass * move**2))):
+                raise NumericalFailure(f"descent trial blew up at iteration {k}")
+            slope = float(np.vdot(garr, move))
+            if not slope < 0.0 or not trial_vals.any():
+                continue
+            # the level is scaling-invariant, so judge the raw trial and
+            # only rescale to |u|_{2*} = 1 once it is accepted
+            trep = norms(Field(grid, trial_vals), params)
+            f_try = big_I(trep.triple)
+            if f_try <= f + SUFFICIENT_DECREASE * slope:
+                return Field(grid, trial_vals / trep.triple.c ** (1.0 / ts)), f_try
+        return None
+
     # the level is scaling-invariant, so one pass over the clipped start
     # gives both its level and the scale that pins |u|_{2*} = 1
     clipped = np.maximum(start.values, 0.0)
     tr = norms(Field(grid, clipped), params).triple
     u = Field(grid, clipped / tr.c ** (1.0 / ts))
-    f = big_I(tr)
-    step = INITIAL_STEP
+    f = f_start = big_I(tr)
+    history = deque(maxlen=HISTORY)
     iters = 0
-    converged = False
-    for iters in range(1, config.max_iters + 1):
-        garr = gradient_I(u, params).values
-        direction = solve_q(garr)
-        if not np.all(np.isfinite(direction)):
-            raise NumericalFailure(f"descent direction is not finite at iteration {iters}")
-        gnorm = _dual_norm(garr, direction)
+    garr, zarr = riesz(u, 1)
+    while True:
+        gnorm = _dual_norm(garr, zarr)
         if gnorm <= config.grad_tol:
-            converged = True
-            iters -= 1
+            reason = "converged"
             break
-        accepted = False
-        s = step
-        for _ in range(MAX_BACKTRACKS):
-            trial_vals = np.maximum(u.values - s * direction, 0.0)
-            if not np.any(trial_vals > 0.0):
-                s *= BACKTRACK
-                continue
-            move2 = float(np.sum(grid.mass * (trial_vals - u.values) ** 2))
-            if not math.isfinite(move2):
-                raise NumericalFailure(f"descent trial blew up at iteration {iters}")
-            # the level is scaling-invariant, so judge the raw trial and
-            # only rescale to |u|_{2*} = 1 once it is accepted
-            trep = norms(Field(grid, trial_vals), params)
-            f_try = big_I(trep.triple)
-            if f_try <= f - SUFFICIENT_DECREASE / s * move2:
-                u = Field(grid, trial_vals / trep.triple.c ** (1.0 / ts))
-                f = f_try
-                step = min(s * 2.0, 64.0)
-                accepted = True
-                break
-            s *= BACKTRACK
-        if not accepted:
+        if iters == config.max_iters:
+            reason = "max_iters"
             break
-    return u, f, iters, converged
+        direction = _lbfgs_direction(garr, zarr, history)
+        if not np.all(np.isfinite(direction)):
+            raise NumericalFailure(f"descent direction is not finite at iteration {iters + 1}")
+        found = line_search(u, f, garr, direction, iters + 1)
+        if found is None and history:
+            history.clear()
+            found = line_search(u, f, garr, zarr, iters + 1)
+        if found is None:
+            reason = "line_search"
+            break
+        u_new, f = found
+        iters += 1
+        g_new, z_new = riesz(u_new, iters + 1)
+        s, y = u_new.values - u.values, g_new - garr
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            history.append((s, y, z_new - zarr, 1.0 / sy))
+        u, garr, zarr = u_new, g_new, z_new
+    return Descent(u, f, iters, reason == "converged", f_start, gnorm, reason)
 
 
 def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
@@ -300,22 +386,27 @@ def default_starts(params, config: SolveConfig, grid: AxiGrid):
 
 
 def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, threads, solve_q):
-    start_values = tuple(evaluate_I(s, params) for s in starts)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
 
-    best = min(range(len(outcomes)), key=lambda k: outcomes[k][1])
-    u, f, iters, converged = outcomes[best]
+    # levels that agree to rounding tie, and the earliest start wins, so
+    # a warm start listed first is kept over an equal cold one
+    lowest = min(d.level for d in outcomes)
+    best = next(d for d in outcomes if d.level <= lowest + TIE_RTOL * abs(lowest))
+    u = best.field
     tr = norms(u, params).triple
     return SolveResult(
         S_alpha_est=big_I(tr),
         minimizer=u,
         triple=tr,
-        iterations=iters,
-        converged=converged,
+        iterations=best.iterations,
+        converged=best.converged,
         diagnostics=fit_instanton(Field(grid, project_t(tr) * u.values)),
         el_residual=euler_lagrange_residual(u, params, solve_q),
-        start_values=start_values,
+        start_values=tuple(d.start_level for d in outcomes),
+        starts=tuple(
+            StartRecord(d.iterations, d.level, d.grad_norm, d.stop_reason) for d in outcomes
+        ),
     )
 
 

@@ -157,6 +157,25 @@ class TestMinimizeCommand:
         assert manifest["failure"] is not None
         assert (out / "result.json").exists()
 
+    def test_per_start_record(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            SMALL_SOLVER.replace("max_iters = 150", "max_iters = 2") + "alpha = 3.0\n",
+        )
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 3
+        res = json.loads((out / "result.json").read_text())
+        assert len(res["starts"]) == len(res["start_values"]) == 2
+        for rec in res["starts"]:
+            assert set(rec) == {"iterations", "level", "grad_norm", "stop_reason"}
+            assert rec["stop_reason"] in ("converged", "max_iters", "line_search")
+        bubble = res["starts"][1]
+        assert (bubble["stop_reason"], bubble["iterations"]) == ("max_iters", 2)
+        assert min(r["level"] for r in res["starts"]) == pytest.approx(res["S_alpha_est"], rel=1e-12)
+        manifest = json.loads((out / "manifest.json").read_text())
+        reasons = ", ".join(r["stop_reason"] for r in res["starts"])
+        assert manifest["failure"].endswith(f"stop reasons by start: {reasons})")
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")

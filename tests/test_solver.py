@@ -11,7 +11,14 @@ from neumannlab.constants import (
     make_params,
     sobolev_S,
 )
-from neumannlab.domain_grid import AxiGrid, Field, build_grid, interpolate_instanton, norms
+from neumannlab.domain_grid import (
+    AxiGrid,
+    Field,
+    build_grid,
+    energy_operator,
+    interpolate_instanton,
+    norms,
+)
 from neumannlab.errors import (
     BracketError,
     ConfigurationError,
@@ -21,10 +28,14 @@ from neumannlab.errors import (
 )
 from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy
 from neumannlab.nehari import project_t, psi_from_projection
+from neumannlab import solver
 from neumannlab.solver import (
+    Descent,
     SolveConfig,
     _descend,
     _energy_solver,
+    _lbfgs_direction,
+    _minimize_over_starts,
     estimate_alpha0,
     euler_lagrange_residual,
     evaluate_I,
@@ -126,6 +137,114 @@ class TestDescentBlowup:
         start = interpolate_instanton(grid48, InstantonParams(0.3))
         with pytest.raises(NumericalFailure, match="trial"):
             _descend(start, p, quick_config(), lambda arr: 1e300 * arr / np.abs(arr).max())
+
+
+class TestLBFGSDirection:
+    def test_matches_dense_bfgs(self):
+        # the one-solve two-loop recursion against the dense inverse-Hessian
+        # product, H0 = gamma Q^{-1}, built from the same pairs
+        g32 = build_grid(5, 1.0, 32, 32, stretch=2.0)
+        p = make_params(5, 1.0, 2.0)
+        q_dense = energy_operator(g32, p.a).toarray()
+        solve = _energy_solver(g32, p.a)
+        rng = np.random.default_rng(11)
+        shape = (32, 32)
+        curvature = q_dense + np.diag(rng.random(q_dense.shape[0]))
+        history = []
+        for _ in range(5):
+            s = rng.standard_normal(shape)
+            y = (curvature @ s.ravel()).reshape(shape)
+            history.append((s, y, solve(y), 1.0 / float(np.sum(s * y))))
+        garr = gradient_I(Field(g32, 0.5 + rng.random(shape)), p).values
+        got = _lbfgs_direction(garr, solve(garr), history)
+
+        s, y, dz, _ = history[-1]
+        h = float(np.sum(s * y)) / float(np.sum(y * dz)) * np.linalg.inv(q_dense)
+        eye = np.eye(h.shape[0])
+        for s, y, _, rho in history:
+            sv, yv = s.ravel(), y.ravel()
+            h = (eye - rho * np.outer(sv, yv)) @ h @ (eye - rho * np.outer(yv, sv))
+            h += rho * np.outer(sv, sv)
+        want = h @ garr.ravel()
+        assert np.linalg.norm(got.ravel() - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_empty_history_is_riesz_gradient(self, grid48):
+        p = make_params(5, 1.0, 2.0)
+        garr = gradient_I(interpolate_instanton(grid48, InstantonParams(0.3)), p).values
+        zarr = _energy_solver(grid48, p.a)(garr)
+        assert np.array_equal(_lbfgs_direction(garr, zarr, []), zarr)
+
+
+class TestDescentIterations:
+    # accepted steps to grad_tol 3e-4 that the steepest descent in the
+    # Q-metric took from each bubble start, 64^2 grid, stretch 3, alpha 3
+    STEEPEST = {0.3: 312, 0.1: 304, 0.03: 262}
+
+    @pytest.mark.parametrize("eps", sorted(STEEPEST))
+    def test_bubble_starts_converge_in_a_third(self, grid64, eps):
+        p = make_params(5, 1.0, 3.0)
+        start = interpolate_instanton(grid64, InstantonParams(max(eps, 2.0 * grid64.min_boundary_spacing)))
+        out = _descend(start, p, quick_config(max_iters=400), _energy_solver(grid64, p.a))
+        assert out.converged and out.stop_reason == "converged"
+        assert out.iterations <= self.STEEPEST[eps] // 3
+        assert out.grad_norm <= 3e-4
+        assert out.level < out.start_level
+
+
+class TestStarts:
+    def test_tie_goes_to_earliest_start(self, grid48, monkeypatch):
+        # two identical starts whose descents end one ulp apart: the first
+        # listed wins, not the last bit
+        p = make_params(5, 1.0, 2.0)
+        vals = interpolate_instanton(grid48, InstantonParams(0.3)).values
+        starts = [Field(grid48, vals), Field(grid48, vals.copy())]
+        outcome = {id(starts[0]): (0, 11.5), id(starts[1]): (1, float(np.nextafter(11.5, 0.0)))}
+
+        def fake(start, params, config, solve_q):
+            k, level = outcome[id(start)]
+            return Descent(start, level, k, True, 12.0, 0.0, "converged")
+
+        monkeypatch.setattr(solver, "_descend", fake)
+        res = _minimize_over_starts(p, quick_config(), grid48, starts, 1, _energy_solver(grid48, p.a))
+        assert res.minimizer is starts[0]
+        assert res.iterations == 0
+
+    def test_max_iters_reason(self, grid64):
+        cfg = quick_config(max_iters=2, grad_tol=1e-14)
+        res = minimize(make_params(5, 1.0, 3.0), cfg, grid64)
+        assert len(res.starts) == cfg.n_starts
+        # the constant is critical up to round-off, which no trial can
+        # decrease, so its line search fails where it stands
+        const = res.starts[0]
+        assert const.stop_reason == "line_search" and const.iterations == 0
+        assert cfg.grad_tol < const.grad_norm < 1e-12
+        assert const.level == res.start_values[0]
+        for rec, start_level in zip(res.starts[1:], res.start_values[1:]):
+            assert rec.stop_reason == "max_iters"
+            assert rec.iterations == 2
+            assert rec.grad_norm > cfg.grad_tol
+            assert rec.level < start_level
+
+    def test_constant_start_converges_at_once(self, grid64):
+        cfg = quick_config()
+        res = minimize(make_params(5, 1.0, 0.0), cfg, grid64)
+        rec = res.starts[0]
+        assert rec.stop_reason == "converged"
+        assert rec.iterations == 0
+        assert rec.grad_norm <= cfg.grad_tol
+        assert rec.level == res.start_values[0]
+
+    def test_start_level_is_one_pass(self, grid48, monkeypatch):
+        # the constant converges at once: its start pass doubles as its
+        # start value, then one gradient, the winner's triple and the residual
+        p = make_params(5, 1.0, 0.0)
+        starts = [Field.constant(grid48, 1.0)]
+        solve = _energy_solver(grid48, p.a)
+        want = evaluate_I(starts[0], p)
+        calls = count_kernel_passes(monkeypatch)
+        res = _minimize_over_starts(p, quick_config(), grid48, starts, 1, solve)
+        assert calls == [False, True, False, True]
+        assert res.start_values == (want,)
 
 
 class TestEvaluateI:
