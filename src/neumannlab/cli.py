@@ -8,9 +8,11 @@ pack for the run's dimension, the package version, the seed, and wall
 timings; JSON outputs name the manifest, CSV bodies stay plain so that
 re-runs are byte-identical.
 
-Exit codes: 0 success, 2 validation failure (bad flags, malformed or
-incomplete config, out-of-domain inputs), 3 accuracy or convergence
-failure.
+Exit codes: 0 success, 1 internal error (an exception outside the
+package's own types, once the config has validated: the manifest
+records it as ``failure`` and the traceback goes to stderr), 2
+validation failure (bad flags, malformed or incomplete config,
+out-of-domain inputs), 3 accuracy or convergence failure.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -86,7 +89,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -495,6 +498,12 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         print(f"accuracy failure: {exc}", file=sys.stderr)
         code = 3
         failure = str(exc)
+    except Exception as exc:
+        if cfg is None:
+            raise
+        traceback.print_exc()
+        code = 1
+        failure = f"{type(exc).__name__}: {exc}"
     if output_dir is not None and cfg is not None:
         config_echo = {
             k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())

@@ -14,8 +14,13 @@ energy operator and the power masses below.
 The power masses integrate the bilinear interpolant with a 2x2 Gauss
 rule per cell.  One sparse operator G (a row per Gauss point of every
 cell, four corner weights per row) gives all Gauss-point values at once,
-so a single pass yields the masses and their nodal derivatives, and the
-energy operator's mass block is G^T diag(w) G.
+and the energy operator's mass block is G^T diag(w) G.  The paper's
+exponents are tied, q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2), so one power
+s = |u_g|^(2/(N-2)) gives the masses of u^2, |u|^q and |u|^2* as
+sum w u_g^2 s^k, k = 0, 1, 2.  A pass makes one G product and that one
+power; a derivative pass adds one G^T product for any linear
+combination of the three mass derivatives, which is all the first
+variation needs.
 
 The gradient energy differences along cell edges: each term is the
 second-order centered derivative at an edge midpoint, squared, times the
@@ -114,41 +119,54 @@ class AxiGrid:
             ]
         )
 
-    def power_masses(self, values: np.ndarray, qs, gradients: bool = False):
-        """int |u|^q for each q, with u the bilinear interpolant, by
-        per-cell Gauss points whose weights are normalized to the exact
-        cell measure; with ``gradients`` also their nodal derivatives,
-        as ``(masses, derivatives)``.
+    def power_masses(self, values: np.ndarray, combine=None):
+        """(int u^2, int |u|^q, int |u|^2*) with u the bilinear interpolant,
+        q = 2(N-1)/(N-2) and 2* = 2N/(N-2), by per-cell Gauss points
+        whose weights are normalized to the exact cell measure.
 
-        One power |u_g|^(q-2) per exponent serves both: the mass is
-        sum w u_g^2 |u_g|^(q-2) and the derivative q G^T (w u_g |u_g|^(q-2)).
+        With ``combine``, a function of those three masses returning
+        weights (k0, k1, k2), also the nodal derivative of
+        k0 int u^2 + k1 int |u|^q + k2 int |u|^2*, as ``(masses, derivative)``.
+
+        The exponents are tied: q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2).  So
+        one power s = |u_g|^(2/(N-2)) gives all three masses as
+        sum w u_g^2 s^k, k = 0, 1, 2, and the derivative as the single
+        product G^T (w u_g (2 k0 + q k1 s + 2* k2 s^2)).
 
         Nodal lumping would overestimate these for peaked fields (the
         powers are convex), which lets under-resolved bumps undervalue
         their critical mass and pull the level below the continuum one;
         interpolating first removes that bias.
         """
+        N = self.N
         ug = self.gauss @ values.ravel()
-        # the Gauss-point temporaries share one block: |u_g|, w u_g^2, then
-        # a power row per exponent when derivatives follow, else one reused
-        work = np.empty((2 + (len(qs) if gradients else 1), ug.size))
-        aug, wu2 = work[0], work[1]
-        np.abs(ug, out=aug)
-        np.multiply(self.gauss_w, ug, out=wu2)
-        wu2 *= ug
-        masses = []
-        for k, q in enumerate(qs):
-            p = work[2 + k if gradients else 2]
-            np.power(aug, q - 2.0, out=p)
-            masses.append(float(p @ wu2))
-        if not gradients:
-            return tuple(masses)
-        wu = np.multiply(self.gauss_w, ug, out=aug)  # |u_g| is spent
-        derivs = []
-        for q, p in zip(qs, work[2:]):
-            p *= wu
-            derivs.append(q * (self.gauss_t @ p).reshape(values.shape))
-        return tuple(masses), tuple(derivs)
+        # the Gauss-point temporaries share one block: s, w u_g, w u_g^2 s^k
+        work = np.empty((3, ug.size))
+        s, wu, wus = work
+        if N == 5:
+            # |u|^(2/3) as cbrt(u^2): no slow path at u = 0, unlike pow
+            np.multiply(ug, ug, out=s)
+            np.cbrt(s, out=s)
+        else:
+            np.abs(ug, out=s)
+            np.power(s, 2.0 / (N - 2), out=s)
+        np.multiply(self.gauss_w, ug, out=wu)
+        np.multiply(wu, ug, out=wus)
+        mass2 = float(wus.sum())
+        trace = float(wus @ s)
+        wus *= s
+        masses = (mass2, trace, float(wus @ s))
+        if combine is None:
+            return masses
+        k0, k1, k2 = combine(masses)
+        q, p = 2.0 * (N - 1) / (N - 2), 2.0 * N / (N - 2)
+        # Horner in s: w u_g (2 k0 + s (q k1 + s 2* k2)), reusing the spent row
+        np.multiply(s, p * k2, out=wus)
+        wus += q * k1
+        wus *= s
+        wus += 2.0 * k0
+        wus *= wu
+        return masses, (self.gauss_t @ wus).reshape(values.shape)
 
 
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
@@ -267,21 +285,18 @@ class NormReport:
     trace_mass: float
 
 
-def _norm_pass(field: Field, params: ProblemParams, gradients: bool):
-    """The field's NormReport and, with ``gradients``, the nodal
-    derivatives of its three power masses, from one kernel pass."""
-    g = field.grid
-    if g.N != params.N:
-        raise DomainError(f"grid dimension {g.N} != params dimension {params.N}")
-    u = field.values
-    if not np.any(u != 0.0):
+def _checked_values(field: Field, params: ProblemParams) -> np.ndarray:
+    if field.grid.N != params.N:
+        raise DomainError(f"grid dimension {field.grid.N} != params dimension {params.N}")
+    if not np.any(field.values != 0.0):
         raise DegenerateInputError("zero field has no norms")
-    grad2 = g.gradient_energy(u)
-    ex = params.exponents
-    out = g.power_masses(u, (2.0, float(ex.two_tilde), float(ex.two_star)), gradients=gradients)
-    (mass2, trace, critical), derivs = out if gradients else (out, None)
-    triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, g.N)
-    return NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace), derivs
+    return field.values
+
+
+def _report(params: ProblemParams, grad2: float, masses) -> NormReport:
+    mass2, trace, critical = masses
+    triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, params.N)
+    return NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
 
 
 def norms(field: Field, params: ProblemParams) -> NormReport:
@@ -293,25 +308,39 @@ def norms(field: Field, params: ProblemParams) -> NormReport:
     face of the natural boundary condition.  The power masses integrate
     the bilinear interpolant per cell rather than lumping nodal values.
     """
-    return _norm_pass(field, params, gradients=False)[0]
+    u = _checked_values(field, params)
+    return _report(params, field.grid.gradient_energy(u), field.grid.power_masses(u))
 
 
-def norm_gradients(field: Field, params: ProblemParams):
-    """The field's NormReport and the discrete Gateaux derivatives of
-    (a_bar, b, c) with respect to the nodal values, as
-    ``(report, d_abar, d_b, d_c)``; each array has the field's shape."""
-    rep, (d_mass2, d_trace, d_c) = _norm_pass(field, params, gradients=True)
+def norm_gradients(field: Field, params: ProblemParams, coefficients):
+    """The field's NormReport and the nodal derivative
+    c_a a_bar' + c_b b' + c_c c' of a combination of its triple, as
+    ``(report, derivative)``, from one kernel pass.
+
+    ``coefficients`` maps the pass's triple to (c_a, c_b, c_c), so the
+    weights may depend on the field itself, as the projection multiplier
+    of the first variation does; unit weights give one derivative alone.
+    """
+    u = _checked_values(field, params)
     g = field.grid
-    u = field.values
-    fr = 2.0 * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
-    ft = 2.0 * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
-    d_abar = params.a * d_mass2
-    d_abar[1:, :] += fr
-    d_abar[:-1, :] -= fr
-    d_abar[:, 1:] += ft
-    d_abar[:, :-1] -= ft
-    d_b = params.alpha * d_trace
-    return rep, d_abar, d_b, d_c
+    grad2 = g.gradient_energy(u)
+    rep = c_a = None
+
+    def mass_weights(masses):
+        nonlocal rep, c_a
+        rep = _report(params, grad2, masses)
+        c_a, c_b, c_c = coefficients(rep.triple)
+        return params.a * c_a, params.alpha * c_b, c_c
+
+    _, deriv = g.power_masses(u, combine=mass_weights)
+    # the stiffness stencil of grad2, scaled by c_a
+    fr = 2.0 * c_a * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
+    ft = 2.0 * c_a * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
+    deriv[1:, :] += fr
+    deriv[:-1, :] -= fr
+    deriv[:, 1:] += ft
+    deriv[:, :-1] -= ft
+    return rep, deriv
 
 
 def _edge_difference(m: int) -> sparse.csr_matrix:

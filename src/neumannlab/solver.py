@@ -20,8 +20,9 @@ Q^{-1} solve, the one for the new gradient.
 A trial takes the unit step along that direction and clips to the
 nonnegative cone (every term of the functional is even in u except the
 positivity the ground state wants); it is accepted under the Armijo
-rule on the projected path, f(trial) <= f + c g . (trial - u), and the
-step is halved otherwise.  Pairs with s.y <= 0 are dropped.  When the
+rule on the projected path, f(trial) <= f + c g . (trial - u), with a
+decrease beyond the level's rounding, and the step is halved
+otherwise.  Pairs with s.y <= 0 are dropped.  When the
 line search fails the history is cleared and the search retried along
 z; a second failure stops the descent.  Each accepted iterate is
 rescaled to critical mass 1 to pin the scale direction.
@@ -52,6 +53,10 @@ INITIAL_STEP = 1.0
 BACKTRACK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 40
+# a trial must also lower the level by more than this relative amount,
+# the rounding of its evaluation: at a critical point the gradient is
+# round-off, and a decrease of a few ulps is noise, not a step
+LEVEL_RTOL = 8.0 * float(np.finfo(float).eps)
 # L-BFGS memory: curvature pairs kept for the two-loop recursion
 HISTORY = 5
 # starts whose final levels agree to this relative tolerance tie, and
@@ -123,6 +128,7 @@ class Descent(NamedTuple):
     start_level: float
     grad_norm: float
     stop_reason: str
+    triple: NormTriple            # the final field's, exact by homogeneity
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,15 @@ def evaluate_I(field: Field, params) -> float:
     return big_I(norms(field, params).triple)
 
 
+def _variation_coefficients(triple: NormTriple):
+    """Weights (t^2/2, t^tt/tt, -t^ts/ts) of (a_bar', b', c') in the first
+    variation, with t = t(u) the projection multiplier of the triple."""
+    t = project_t(triple)
+    ts = float(triple.exponents.two_star)
+    tt = float(triple.exponents.two_tilde)
+    return t**2 / 2.0, t**tt / tt, -(t**ts) / ts
+
+
 def _first_variation(field: Field, params):
     """The field's NormReport, its projection multiplier t, and the nodal
     first variation dPsi = t^2/2 a_bar' + t^tt/tt b' - t^ts/ts c' of the
@@ -160,11 +175,8 @@ def _first_variation(field: Field, params):
     gradient_I scales dPsi by its envelope prefactor, and the
     Euler-Lagrange residual measures dPsi / t.
     """
-    rep, d_abar, d_b, d_c = norm_gradients(field, params)
-    t = project_t(rep.triple)
-    ts = float(params.exponents.two_star)
-    tt = float(params.exponents.two_tilde)
-    return rep, t, t**2 / 2.0 * d_abar + t**tt / tt * d_b - t**ts / ts * d_c
+    rep, d_psi = norm_gradients(field, params, _variation_coefficients)
+    return rep, project_t(rep.triple), d_psi
 
 
 def gradient_I(field: Field, params) -> Field:
@@ -224,6 +236,13 @@ def _lbfgs_direction(garr: np.ndarray, zarr: np.ndarray, history) -> np.ndarray:
 def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     grid = start.grid
     ts = float(params.exponents.two_star)
+    tt = float(params.exponents.two_tilde)
+
+    def pinned(values, tr):
+        # u / c^(1/ts) has |u|_{2*} = 1, and its triple follows from tr by
+        # the homogeneity of degrees 2, tt and ts, with no further pass
+        m = tr.c ** (1.0 / ts)
+        return Field(grid, values / m), NormTriple(tr.a_bar / m**2, tr.b / m**tt, tr.c / m**ts, tr.N)
 
     def riesz(u, k):
         garr = gradient_I(u, params).values
@@ -247,16 +266,16 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
             # only rescale to |u|_{2*} = 1 once it is accepted
             trep = norms(Field(grid, trial_vals), params)
             f_try = big_I(trep.triple)
-            if f_try <= f + SUFFICIENT_DECREASE * slope:
-                return Field(grid, trial_vals / trep.triple.c ** (1.0 / ts)), f_try
+            if f_try <= min(f + SUFFICIENT_DECREASE * slope, f - LEVEL_RTOL * f):
+                return pinned(trial_vals, trep.triple), f_try
         return None
 
     # the level is scaling-invariant, so one pass over the clipped start
     # gives both its level and the scale that pins |u|_{2*} = 1
     clipped = np.maximum(start.values, 0.0)
     tr = norms(Field(grid, clipped), params).triple
-    u = Field(grid, clipped / tr.c ** (1.0 / ts))
     f = f_start = big_I(tr)
+    u, tr = pinned(clipped, tr)
     history = deque(maxlen=HISTORY)
     iters = 0
     garr, zarr = riesz(u, 1)
@@ -278,15 +297,15 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
         if found is None:
             reason = "line_search"
             break
-        u_new, f = found
+        (u_new, tr_new), f = found
         iters += 1
         g_new, z_new = riesz(u_new, iters + 1)
         s, y = u_new.values - u.values, g_new - garr
         sy = float(np.vdot(s, y))
         if sy > 0.0:
             history.append((s, y, z_new - zarr, 1.0 / sy))
-        u, garr, zarr = u_new, g_new, z_new
-    return Descent(u, f, iters, reason == "converged", f_start, gnorm, reason)
+        u, tr, garr, zarr = u_new, tr_new, g_new, z_new
+    return Descent(u, f, iters, reason == "converged", f_start, gnorm, reason, tr)
 
 
 def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
@@ -393,8 +412,7 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, th
     # a warm start listed first is kept over an equal cold one
     lowest = min(d.level for d in outcomes)
     best = next(d for d in outcomes if d.level <= lowest + TIE_RTOL * abs(lowest))
-    u = best.field
-    tr = norms(u, params).triple
+    u, tr = best.field, best.triple
     return SolveResult(
         S_alpha_est=big_I(tr),
         minimizer=u,

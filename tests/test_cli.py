@@ -94,6 +94,14 @@ class TestConfigRejection:
     def test_missing_file(self, capsys):
         assert cli.run("constants", config_path="/no/such/file.cfg") == 2
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"\xff\xfeN = 5\n")
+        out = tmp_path / "run"
+        assert cli.run("constants", config_path=str(path), output_dir=str(out)) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand(self, capsys):
         assert cli.run("fabricate") == 2
 
@@ -194,6 +202,21 @@ class TestMinimizeCommand:
         assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert "not finite" in manifest["failure"]
+
+    def test_internal_error_exits_1_with_manifest(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(cli, "minimize", broken)
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 2.0\n")
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"] == "RuntimeError: kernel exploded"
+        assert manifest["config"]["alpha"] == 2.0
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: kernel exploded" in err
 
     def test_seed_override_wins(self, tmp_path, capsys):
         out = tmp_path / "run"

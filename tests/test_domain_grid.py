@@ -78,7 +78,7 @@ class TestBuildGrid:
         # the in-cell weight split contributes error
         g = build_grid(5, 1.0, 256, 256)
         exact = ball_volume(5, 1.0) * 5.0 / 7.0  # int r^2 = vol * N/(N+2)
-        approx = g.power_masses(np.broadcast_to(g.r[:, None], g.mass.shape), (2.0,))[0]
+        approx = g.power_masses(np.broadcast_to(g.r[:, None], g.mass.shape))[0]
         assert abs(approx - exact) / exact < 1e-8
 
     def test_nodes_cover_closed_ranges(self, grid64):
@@ -156,6 +156,14 @@ def _corner_loop(grid, values, qs):
     return masses, derivs
 
 
+def _unit_derivatives(grid, values):
+    """The three mass derivatives one at a time, through unit weights."""
+    return [
+        grid.power_masses(values, combine=lambda masses, k=k: np.eye(3)[k])[1]
+        for k in range(3)
+    ]
+
+
 class TestPowerMasses:
     @pytest.mark.parametrize("N", [5, 7])
     def test_matches_corner_loop(self, N):
@@ -163,13 +171,41 @@ class TestPowerMasses:
         p = make_params(N, 1.0, 1.0)
         qs = (2.0, float(p.exponents.two_tilde), float(p.exponents.two_star))
         u = np.random.default_rng(N).standard_normal((40, 36))
-        masses, derivs = g.power_masses(u, qs, gradients=True)
+        masses = g.power_masses(u)
         want_masses, want_derivs = _corner_loop(g, u, qs)
         assert masses == pytest.approx(want_masses, rel=1e-12)
-        for got, want in zip(derivs, want_derivs):
+        for got, want in zip(_unit_derivatives(g, u), want_derivs):
             assert got.shape == u.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        assert g.power_masses(u, qs) == masses
+        assert g.power_masses(u, combine=lambda m: (1.0, 0.0, 0.0))[0] == masses
+
+    @pytest.mark.parametrize("N", [5, 6, 7, 8])
+    def test_exponent_identity(self, N):
+        # one power s = |u_g|^(2/(N-2)) stands in for |u_g|^(q-2) and
+        # |u_g|^(2*-2); a signed field with a block of exact zeros probes
+        # both signs and the power at 0
+        g = build_grid(N, 1.0, 40, 36, stretch=2.5)
+        p = make_params(N, 1.0, 1.0)
+        qs = (2.0, float(p.exponents.two_tilde), float(p.exponents.two_star))
+        assert qs[1] - 2.0 == pytest.approx(2.0 / (N - 2), rel=1e-15)
+        assert qs[2] - 2.0 == pytest.approx(2.0 * (qs[1] - 2.0), rel=1e-15)
+        rng = np.random.default_rng(100 + N)
+        u = rng.standard_normal((40, 36))
+        u[5:20, 10:30] = 0.0
+        weights = rng.standard_normal(3)
+        seen = []
+
+        def combine(masses):
+            seen.append(masses)
+            return weights
+
+        masses, got = g.power_masses(u, combine=combine)
+        want_masses, want_derivs = _corner_loop(g, u, qs)
+        assert seen == [masses]
+        assert masses == pytest.approx(want_masses, rel=1e-12)
+        want = sum(k * d for k, d in zip(weights, want_derivs))
+        assert np.all(want[6:19, 11:29] == 0.0) and np.all(got[6:19, 11:29] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_operator_shape(self, grid64s):
         g = grid64s
@@ -258,7 +294,10 @@ class TestNorms:
         p = make_params(5, 1.3, 0.8)
         rng = np.random.default_rng(11)
         u = 0.6 + 0.25 * rng.standard_normal((64, 64))
-        _, da, db, dc = norm_gradients(Field(grid64s, u), p)
+        field = Field(grid64s, u)
+        da, db, dc = (
+            norm_gradients(field, p, lambda triple, k=k: np.eye(3)[k])[1] for k in range(3)
+        )
         h = 1e-6
         for _ in range(6):
             d = rng.standard_normal((64, 64))

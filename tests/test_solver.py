@@ -1,5 +1,7 @@
 """Descent machinery: gradients, multistart minimization, sweeps, threshold."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,22 @@ def count_kernel_passes(monkeypatch):
     real = AxiGrid.power_masses
 
     def counted(self, *args, **kwargs):
-        calls.append(kwargs.get("gradients", False))
+        calls.append(kwargs.get("combine") is not None)
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(AxiGrid, "power_masses", counted)
     return calls
+
+
+class _Counted:
+    """A sparse operator that logs each product with a vector."""
+
+    def __init__(self, op, name, log):
+        self.op, self.name, self.log = op, name, log
+
+    def __matmul__(self, x):
+        self.log.append(self.name)
+        return self.op @ x
 
 
 class TestKernelPasses:
@@ -111,6 +124,28 @@ class TestKernelPasses:
         calls = count_kernel_passes(monkeypatch)
         euler_lagrange_residual(f, p, solve)
         assert calls == [True]
+
+    def test_gradient_pass_is_one_product_each_way(self, grid48, monkeypatch):
+        # one G product and one power give the three masses; the first
+        # variation is linear in their derivatives, so one G^T product
+        # gives it
+        p = make_params(5, 1.0, 2.0)
+        log = []
+        g = replace(grid48, gauss=_Counted(grid48.gauss, "G", log),
+                    gauss_t=_Counted(grid48.gauss_t, "G^T", log))
+        for name in ("cbrt", "power"):
+            real = getattr(np, name)
+            monkeypatch.setattr(
+                np, name, lambda *a, real=real, name=name, **k: log.append(name) or real(*a, **k)
+            )
+        values = interpolate_instanton(grid48, InstantonParams(0.3)).values
+        got = gradient_I(Field(g, values), p).values
+        assert log == ["G", "cbrt", "G^T"]
+        log.clear()
+        norms(Field(g, values), p)
+        assert log == ["G", "cbrt"]
+        monkeypatch.undo()
+        assert np.array_equal(got, gradient_I(Field(grid48, values), p).values)
 
     def test_descent_start_is_one_pass(self, grid48, monkeypatch):
         # the clipped start's level and scale come from one pass, ahead of
@@ -202,7 +237,7 @@ class TestStarts:
 
         def fake(start, params, config, solve_q):
             k, level = outcome[id(start)]
-            return Descent(start, level, k, True, 12.0, 0.0, "converged")
+            return Descent(start, level, k, True, 12.0, 0.0, "converged", norms(start, params).triple)
 
         monkeypatch.setattr(solver, "_descend", fake)
         res = _minimize_over_starts(p, quick_config(), grid48, starts, 1, _energy_solver(grid48, p.a))
@@ -236,15 +271,37 @@ class TestStarts:
 
     def test_start_level_is_one_pass(self, grid48, monkeypatch):
         # the constant converges at once: its start pass doubles as its
-        # start value, then one gradient, the winner's triple and the residual
+        # start value and gives the winner's triple, then one gradient and
+        # the residual
         p = make_params(5, 1.0, 0.0)
         starts = [Field.constant(grid48, 1.0)]
         solve = _energy_solver(grid48, p.a)
         want = evaluate_I(starts[0], p)
         calls = count_kernel_passes(monkeypatch)
         res = _minimize_over_starts(p, quick_config(), grid48, starts, 1, solve)
-        assert calls == [False, True, False, True]
+        assert calls == [False, True, True]
         assert res.start_values == (want,)
+
+    def test_winner_triple_is_the_descents(self, grid48, monkeypatch):
+        # the winner's triple is its last accepted trial's, rescaled by
+        # homogeneity: the solve adds only the residual's pass to the descent
+        p = make_params(5, 1.0, 2.0)
+        starts = [interpolate_instanton(grid48, InstantonParams(0.3))]
+        solve = _energy_solver(grid48, p.a)
+        cfg = quick_config(max_iters=5)
+        calls = count_kernel_passes(monkeypatch)
+        out = _descend(starts[0], p, cfg, solve)
+        descent_calls, calls[:] = list(calls), []
+        res = _minimize_over_starts(p, cfg, grid48, starts, 1, solve)
+        assert out.iterations == 5
+        assert calls == descent_calls + [True]
+        want = norms(res.minimizer, p).triple
+        assert res.triple.c == pytest.approx(1.0, rel=1e-13)
+        for got, exact in zip(
+            (res.triple.a_bar, res.triple.b, res.triple.c), (want.a_bar, want.b, want.c)
+        ):
+            assert got == pytest.approx(exact, rel=1e-12)
+        assert res.S_alpha_est == pytest.approx(evaluate_I(res.minimizer, p), rel=1e-12)
 
 
 class TestEvaluateI:
