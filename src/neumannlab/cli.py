@@ -46,29 +46,37 @@ DEFAULT_EPS = (0.00078125, 0.0015625, 0.003125, 0.00625, 0.0125)
 _REQUIRED = object()
 
 
-def _float_list(text: str) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
+def _finite_float(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _float_list(value) -> tuple:
+    """A list key's values, from config text or a replayed JSON array."""
+    parts = value.replace(",", " ").split() if isinstance(value, str) else list(value)
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_finite_float(p) for p in parts)
 
 
 _SOLVER_COMMANDS = ("minimize", "sweep", "alpha0")
 
 CONFIG_SCHEMA = {
     "N": (int, 5, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
-    "R": (float, 1.0, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
-    "a": (float, 1.0, _SOLVER_COMMANDS),
-    "alpha": (float, 0.0, ("minimize",)),
+    "R": (_finite_float, 1.0, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
+    "a": (_finite_float, 1.0, _SOLVER_COMMANDS),
+    "alpha": (_finite_float, 0.0, ("minimize",)),
     "alpha_list": (_float_list, _REQUIRED, ("sweep", "alpha0")),
     "n_r": (int, 96, _SOLVER_COMMANDS),
     "n_theta": (int, 96, _SOLVER_COMMANDS),
-    "stretch": (float, 3.0, _SOLVER_COMMANDS),
+    "stretch": (_finite_float, 3.0, _SOLVER_COMMANDS),
     "max_iters": (int, 400, _SOLVER_COMMANDS),
-    "grad_tol": (float, 1e-4, _SOLVER_COMMANDS),
+    "grad_tol": (_finite_float, 1e-4, _SOLVER_COMMANDS),
     "n_starts": (int, 4, _SOLVER_COMMANDS),
     "seed": (int, 0, _SOLVER_COMMANDS),
-    "tau": (float, 0.01, _SOLVER_COMMANDS),
+    "tau": (_finite_float, 0.01, _SOLVER_COMMANDS),
     "triples": (str, _REQUIRED, ("nehari-check",)),
     "eps_list": (_float_list, DEFAULT_EPS, ("instanton-verify",)),
     "n_rho": (int, 24, ("instanton-verify",)),
@@ -150,12 +158,7 @@ def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
                 merged[key] = default
             continue
         try:
-            if isinstance(source, str):
-                merged[key] = parse(source)
-            elif parse is _float_list:
-                merged[key] = tuple(float(v) for v in source)
-            else:
-                merged[key] = parse(source)
+            merged[key] = parse(source)
         except (TypeError, ValueError) as exc:
             problems.append(f"invalid value for {key}: {source!r} ({exc})")
     if problems:

@@ -12,15 +12,15 @@ overflows.  The descent direction and its line search come from the
 energy operator and the power masses below.
 
 The power masses integrate the bilinear interpolant with a 2x2 Gauss
-rule per cell.  One sparse operator G (a row per Gauss point of every
-cell, four corner weights per row) gives all Gauss-point values at once,
-and the energy operator's mass block is G^T diag(w) G.  The paper's
-exponents are tied, q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2), so one power
+rule per cell: one 4x4 block, whose row k interpolates Gauss point k
+from a cell's corners, applied to a field's four corner slices, and the
+weights ``gauss_w``, one plane per Gauss point.  The paper's exponents
+are tied, q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2), so one power
 s = |u_g|^(2/(N-2)) gives the masses of u^2, |u|^q and |u|^2* as
-sum w u_g^2 s^k, k = 0, 1, 2.  A pass makes one G product and that one
-power; a derivative pass adds one G^T product for any linear
-combination of the three mass derivatives, which is all the first
-variation needs.
+sum w u_g^2 s^k, k = 0, 1, 2.  A pass makes one block product and that
+one power; a derivative pass adds one adjoint (the transposed block and
+four slice-adds) for any linear combination of the three mass
+derivatives, which is all the first variation needs.
 
 The gradient energy differences along cell edges: each term is the
 second-order centered derivative at an edge midpoint, squared, times the
@@ -72,6 +72,18 @@ def _cumulative_sin_power(phi: np.ndarray, m: int) -> np.ndarray:
     return np.where(phi <= 0.5 * np.pi, lower, upper)
 
 
+# A cell's corners (i, j), (i, j+1), (i+1, j), (i+1, j+1) as slices of a
+# nodal array, one (n_r-1, n_theta-1) plane each; the 2x2 Gauss points
+# (x along r, y along theta) of the unit cell; and the block whose row k
+# interpolates Gauss point k from those corners
+_CORNERS = tuple((rows, cols) for rows in (slice(None, -1), slice(1, None))
+                 for cols in (slice(None, -1), slice(1, None)))
+_GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+_GAUSS_POINTS = [(x, y) for x in _GAUSS_NODES for y in _GAUSS_NODES]
+_GAUSS_BLOCK = np.array([[(1 - x) * (1 - y), (1 - x) * y, x * (1 - y), x * y] for x, y in _GAUSS_POINTS])
+_GAUSS_BLOCK.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class AxiGrid:
     """Immutable (r, theta) tensor grid with exact cell masses."""
@@ -86,10 +98,7 @@ class AxiGrid:
     mass: np.ndarray               # (n_r, n_theta), strictly positive control volumes
     r_edge_coeff: np.ndarray       # (n_r-1, n_theta): measure / h_r^2 per radial edge
     theta_edge_coeff: np.ndarray   # (n_r, n_theta-1): measure / (r h_theta)^2 per angular edge
-    gauss: sparse.csr_matrix       # G, (4 cells, nodes): the interpolant at every Gauss point
-    gauss_t: sparse.csr_matrix     # G^T stored by rows, so G^T x gathers per node
-    gauss_w: np.ndarray            # (4 cells,): Gauss weights, per cell summing to its measure
-    subcell_w: tuple               # 4 views (n_r-1, n_theta-1) of gauss_w, one per Gauss point
+    gauss_w: np.ndarray            # (4, n_r-1, n_theta-1): Gauss weights, per cell summing to its measure
 
     @property
     def volume(self) -> float:
@@ -131,7 +140,7 @@ class AxiGrid:
         The exponents are tied: q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2).  So
         one power s = |u_g|^(2/(N-2)) gives all three masses as
         sum w u_g^2 s^k, k = 0, 1, 2, and the derivative as the single
-        product G^T (w u_g (2 k0 + q k1 s + 2* k2 s^2)).
+        adjoint of w u_g (2 k0 + q k1 s + 2* k2 s^2).
 
         Nodal lumping would overestimate these for peaked fields (the
         powers are convex), which lets under-resolved bumps undervalue
@@ -139,9 +148,10 @@ class AxiGrid:
         interpolating first removes that bias.
         """
         N = self.N
-        ug = self.gauss @ values.ravel()
+        corners = np.stack([values[c] for c in _CORNERS]).reshape(4, -1)
+        ug = (_GAUSS_BLOCK @ corners).reshape(self.gauss_w.shape)
         # the Gauss-point temporaries share one block: s, w u_g, w u_g^2 s^k
-        work = np.empty((3, ug.size))
+        work = np.empty((3,) + ug.shape)
         s, wu, wus = work
         if N == 5:
             # |u|^(2/3) as cbrt(u^2): no slow path at u = 0, unlike pow
@@ -153,9 +163,9 @@ class AxiGrid:
         np.multiply(self.gauss_w, ug, out=wu)
         np.multiply(wu, ug, out=wus)
         mass2 = float(wus.sum())
-        trace = float(wus @ s)
+        trace = float(np.vdot(wus, s))
         wus *= s
-        masses = (mass2, trace, float(wus @ s))
+        masses = (mass2, trace, float(np.vdot(wus, s)))
         if combine is None:
             return masses
         k0, k1, k2 = combine(masses)
@@ -166,7 +176,12 @@ class AxiGrid:
         wus *= s
         wus += 2.0 * k0
         wus *= wu
-        return masses, (self.gauss_t @ wus).reshape(values.shape)
+        # the adjoint: the transposed block into the spent corner stack
+        np.matmul(_GAUSS_BLOCK.T, wus.reshape(4, -1), out=corners)
+        deriv = np.zeros_like(values)
+        for c, h in zip(_CORNERS, corners.reshape(ug.shape)):
+            deriv[c] += h
+        return masses, deriv
 
 
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
@@ -209,30 +224,15 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     theta_edge_coeff = area * np.outer(mr3, tedge / hth**2)
 
     # 2x2 Gauss rule per cell for the interpolant masses; renormalizing
-    # against the exact cell measure keeps constants machine-exact.  Row
-    # k * cells + c of the operator interpolates cell c at Gauss point k
-    # from its corners (i, j), (i, j+1), (i+1, j), (i+1, j+1).
-    g0 = 0.5 - 0.5 / np.sqrt(3.0)
-    g1 = 0.5 + 0.5 / np.sqrt(3.0)
-    points = [(xa, yb) for xa in (g0, g1) for yb in (g0, g1)]
+    # against the exact cell measure keeps constants machine-exact
     jac = np.stack(
-        [np.outer((r[:-1] + xa * hr) ** (N - 1), np.sin(theta[:-1] + yb * hth) ** (N - 2))
-         for xa, yb in points]
+        [np.outer((r[:-1] + x * hr) ** (N - 1), np.sin(theta[:-1] + y * hth) ** (N - 2))
+         for x, y in _GAUSS_POINTS]
     )
     cell_mass = area * np.outer(redge, tedge)
-    gauss_w = (cell_mass * jac / jac.sum(axis=0)).ravel()
-    subcell_w = tuple(gauss_w.reshape(jac.shape))
-    n_cells = cell_mass.size
-    lam = np.array([[(1 - xa) * (1 - yb), (1 - xa) * yb, xa * (1 - yb), xa * yb] for xa, yb in points])
-    corner = np.arange(n_r * n_theta, dtype=np.int32).reshape(n_r, n_theta)[:-1, :-1].ravel()
-    cols = corner[:, None] + np.array([0, 1, n_theta, n_theta + 1], dtype=np.int32)
-    gauss = sparse.csr_matrix(
-        (np.repeat(lam, n_cells, axis=0).ravel(), np.tile(cols, (4, 1)).ravel(),
-         np.arange(0, 16 * n_cells + 1, 4, dtype=np.int32)),
-        shape=(4 * n_cells, n_r * n_theta),
-    )
+    gauss_w = cell_mass * jac / jac.sum(axis=0)
 
-    for arr in (r, theta, mass, r_edge_coeff, theta_edge_coeff, gauss_w) + subcell_w:
+    for arr in (r, theta, mass, r_edge_coeff, theta_edge_coeff, gauss_w):
         arr.setflags(write=False)
 
     return AxiGrid(
@@ -246,10 +246,7 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
         mass=mass,
         r_edge_coeff=r_edge_coeff,
         theta_edge_coeff=theta_edge_coeff,
-        gauss=gauss,
-        gauss_t=gauss.T.tocsr(),
         gauss_w=gauss_w,
-        subcell_w=subcell_w,
     )
 
 
@@ -343,30 +340,40 @@ def norm_gradients(field: Field, params: ProblemParams, coefficients):
     return rep, deriv
 
 
-def _edge_difference(m: int) -> sparse.csr_matrix:
-    """(m-1) x m matrix of plain successive differences."""
-    return sparse.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m)).tocsr()
-
-
 def energy_operator(grid: AxiGrid, a: float) -> sparse.csr_matrix:
     """Sparse symmetric Q with u^T Q u = |grad u|_2^2 + a |u|_2^2.
 
-    Assembled from the same edge coefficients and Gauss-point operator
-    G as norms(), so the quadratic part of the functional is exactly
-    u^T Q u; the mass block a G^T diag(w) G makes Q strictly definite
-    even on the zero-weight axis nodes.
+    Assembled from the same edge coefficients and Gauss rule as norms(),
+    so the quadratic part of the functional is exactly u^T Q u; the cell
+    mass blocks make Q strictly definite.
     """
     if not a > 0:
         raise DomainError(f"a > 0 required, got {a}")
     n_r, n_th = grid.n_r, grid.n_theta
-    e_r = sparse.kron(_edge_difference(n_r), sparse.identity(n_th, format="csr"), format="csr")
-    e_th = sparse.kron(sparse.identity(n_r, format="csr"), _edge_difference(n_th), format="csr")
-    q = (
-        e_r.T @ sparse.diags(grid.r_edge_coeff.ravel()) @ e_r
-        + e_th.T @ sparse.diags(grid.theta_edge_coeff.ravel()) @ e_th
-        + grid.gauss_t @ (sparse.diags(a * grid.gauss_w) @ grid.gauss)
-    )
-    return q.tocsr()
+    # Each edge adds its 2x2 difference block and each cell its 4x4 block
+    # a sum_k w_k lam_k lam_k^T, lam_k row k of the Gauss block, onto the
+    # nine diagonals of the node stencil.  bands[m][i, j] couples node
+    # (i, j) to the node offsets[m] further on in row-major order; a
+    # cell's corners sit at node offsets 0, 1, n_th and n_th + 1.
+    offsets = (0, 1, n_th - 1, n_th, n_th + 1)
+    corner_offsets = (0, 1, n_th, n_th + 1)
+    bands = np.zeros((len(offsets), n_r, n_th))
+    diag, right, _, down, _ = bands
+    diag[:-1] += grid.r_edge_coeff
+    diag[1:] += grid.r_edge_coeff
+    down[:-1] -= grid.r_edge_coeff
+    diag[:, :-1] += grid.theta_edge_coeff
+    diag[:, 1:] += grid.theta_edge_coeff
+    right[:, :-1] -= grid.theta_edge_coeff
+    pairs = (_GAUSS_BLOCK[:, :, None] * _GAUSS_BLOCK[:, None, :]).reshape(4, 16)
+    cell = (pairs.T @ (a * grid.gauss_w).reshape(4, -1)).reshape((4, 4) + grid.gauss_w.shape[1:])
+    for c in range(4):
+        for d in range(c, 4):
+            band = bands[offsets.index(corner_offsets[d] - corner_offsets[c])]
+            band[_CORNERS[c]] += cell[c, d]
+    n = n_r * n_th
+    upper = [band.ravel()[: n - k] for band, k in zip(bands, offsets)]
+    return sparse.diags(upper + upper[1:], offsets + tuple(-k for k in offsets[1:]), format="csr")
 
 
 def interpolate_instanton(grid: AxiGrid, inst: InstantonParams) -> Field:

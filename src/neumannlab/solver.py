@@ -236,13 +236,12 @@ def _lbfgs_direction(garr: np.ndarray, zarr: np.ndarray, history) -> np.ndarray:
 def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     grid = start.grid
     ts = float(params.exponents.two_star)
-    tt = float(params.exponents.two_tilde)
 
     def pinned(values, tr):
         # u / c^(1/ts) has |u|_{2*} = 1, and its triple follows from tr by
-        # the homogeneity of degrees 2, tt and ts, with no further pass
+        # homogeneity, with no further pass
         m = tr.c ** (1.0 / ts)
-        return Field(grid, values / m), NormTriple(tr.a_bar / m**2, tr.b / m**tt, tr.c / m**ts, tr.N)
+        return Field(grid, values / m), tr.scaled(1.0 / m)
 
     def riesz(u, k):
         garr = gradient_I(u, params).values

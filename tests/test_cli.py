@@ -115,6 +115,24 @@ class TestConfigRejection:
         assert cli.run("constants", config_path=cfg, output_dir=str(out)) == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, text, number",
+        [("alpha_list", "1e999", "[1e999]"), ("a", "nan", "NaN"), ("grad_tol", "inf", "Infinity")],
+    )
+    def test_nonfinite_value_rejected(self, key, text, number, tmp_path, capsys):
+        # from config text and from a replayed manifest's JSON numbers; in
+        # both the later of two entries for a key wins
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + f"alpha_list = 1.0\n{key} = {text}\n")
+        replay = write_cfg(
+            tmp_path / "manifest.json",
+            '{"config": {"n_r": 32, "n_theta": 32, "alpha_list": [1.0], "%s": %s}}' % (key, number),
+        )
+        for path in (cfg, replay):
+            out = tmp_path / "run"
+            assert cli.run("sweep", config_path=path, output_dir=str(out)) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert f"invalid value for {key}" in err and "not a finite number" in err
 
     def test_unknown_override_keys_listed(self, capsys):
         assert cli.run("constants", overrides={"N": "5", "bogus": "1"}) == 2

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from neumannlab.constants import (
     I_alpha_of_one,
@@ -68,9 +69,11 @@ class TestBuildGrid:
         assert grid64s.mass.sum() == pytest.approx(ball_volume(5, 1.0), rel=1e-12)
 
     def test_subcell_weights_sum_to_volume(self, grid64s):
-        total = sum(float(w.sum()) for w in grid64s.subcell_w)
+        # the Gauss weights are positive and, per cell, sum to its exact
+        # measure, so in all to the ball's volume
+        total = sum(float(w.sum()) for w in grid64s.gauss_w)
         assert total == pytest.approx(grid64s.volume, rel=1e-12)
-        for w in grid64s.subcell_w:
+        for w in grid64s.gauss_w:
             assert np.all(w > 0.0)
 
     def test_r_squared_subcell_rule(self):
@@ -145,7 +148,7 @@ def _corner_loop(grid, values, qs):
     masses = [0.0] * len(qs)
     derivs = [np.zeros_like(values) for _ in qs]
     points = [(xa, yb) for xa in (g0, g1) for yb in (g0, g1)]
-    for (xa, yb), w in zip(points, grid.subcell_w):
+    for (xa, yb), w in zip(points, grid.gauss_w):
         lam = ((1 - xa) * (1 - yb), xa * (1 - yb), (1 - xa) * yb, xa * yb)
         ug = sum(l * values[c] for l, c in zip(lam, corners))
         for k, q in enumerate(qs):
@@ -154,6 +157,44 @@ def _corner_loop(grid, values, qs):
             for l, c in zip(lam, corners):
                 derivs[k][c] += l * flux
     return masses, derivs
+
+
+def _sparse_gauss(grid):
+    """G, the interpolant at every Gauss point as one sparse operator: row
+    k * cells + c interpolates cell c at Gauss point k from its corners
+    (i, j), (i, j+1), (i+1, j), (i+1, j+1)."""
+    n_r, n_th = grid.n_r, grid.n_theta
+    g0 = 0.5 - 0.5 / np.sqrt(3.0)
+    g1 = 0.5 + 0.5 / np.sqrt(3.0)
+    points = [(xa, yb) for xa in (g0, g1) for yb in (g0, g1)]
+    lam = np.array([[(1 - xa) * (1 - yb), (1 - xa) * yb, xa * (1 - yb), xa * yb] for xa, yb in points])
+    corner = np.arange(n_r * n_th).reshape(n_r, n_th)[:-1, :-1].ravel()
+    cols = corner[:, None] + np.array([0, 1, n_th, n_th + 1])
+    cells = corner.size
+    return sparse.csr_matrix(
+        (np.repeat(lam, cells, axis=0).ravel(), np.tile(cols, (4, 1)).ravel(),
+         np.arange(0, 16 * cells + 1, 4)),
+        shape=(4 * cells, n_r * n_th),
+    )
+
+
+def _edge_difference(m):
+    """(m-1) x m matrix of plain successive differences."""
+    return sparse.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m)).tocsr()
+
+
+def _sparse_energy_operator(grid, a):
+    """Q as Kronecker-product edge stiffness plus G^T diag(a w) G."""
+    n_r, n_th = grid.n_r, grid.n_theta
+    e_r = sparse.kron(_edge_difference(n_r), sparse.identity(n_th), format="csr")
+    e_th = sparse.kron(sparse.identity(n_r), _edge_difference(n_th), format="csr")
+    gauss = _sparse_gauss(grid)
+    q = (
+        e_r.T @ sparse.diags(grid.r_edge_coeff.ravel()) @ e_r
+        + e_th.T @ sparse.diags(grid.theta_edge_coeff.ravel()) @ e_th
+        + gauss.T @ sparse.diags(a * grid.gauss_w.ravel()) @ gauss
+    )
+    return q.tocsr()
 
 
 def _unit_derivatives(grid, values):
@@ -208,14 +249,35 @@ class TestPowerMasses:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_operator_shape(self, grid64s):
+        # one plane of weights per Gauss point, one per cell; the sparse
+        # oracle G has four corners a row and reproduces a constant exactly
         g = grid64s
         cells = (g.n_r - 1) * (g.n_theta - 1)
-        assert g.gauss.shape == (4 * cells, g.n_r * g.n_theta)
-        assert np.all(np.diff(g.gauss.indptr) == 4)
-        # each row interpolates, so a constant field is reproduced exactly
-        assert np.allclose(g.gauss @ np.ones(g.n_r * g.n_theta), 1.0, rtol=0, atol=1e-15)
-        assert g.gauss_w.shape == (4 * cells,)
-        assert all(np.shares_memory(w, g.gauss_w) for w in g.subcell_w)
+        assert g.gauss_w.shape == (4, g.n_r - 1, g.n_theta - 1)
+        gauss = _sparse_gauss(g)
+        assert gauss.shape == (4 * cells, g.n_r * g.n_theta)
+        assert np.all(np.diff(gauss.indptr) == 4)
+        assert np.allclose(gauss @ np.ones(g.n_r * g.n_theta), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_matches_sparse_oracle(self, N):
+        # the corner kernel's Gauss values and adjoint against G u and G^T h
+        g = build_grid(N, 1.0, 40, 36, stretch=2.5)
+        p = make_params(N, 1.0, 1.0)
+        q, two_star = float(p.exponents.two_tilde), float(p.exponents.two_star)
+        rng = np.random.default_rng(20 + N)
+        u = rng.standard_normal((40, 36))
+        k0, k1, k2 = rng.standard_normal(3)
+        masses, got = g.power_masses(u, combine=lambda m: (k0, k1, k2))
+
+        gauss = _sparse_gauss(g)
+        ug = gauss @ u.ravel()
+        w = g.gauss_w.ravel()
+        s = np.abs(ug) ** (2.0 / (N - 2))
+        want_masses = [float(np.sum(w * ug**2 * s**k)) for k in range(3)]
+        want = (gauss.T @ (w * ug * (2.0 * k0 + q * k1 * s + two_star * k2 * s**2))).reshape(u.shape)
+        assert masses == pytest.approx(want_masses, rel=1e-15)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestNorms:
@@ -329,6 +391,18 @@ class TestEnergyOperator:
         for _ in range(4):
             x = rng.standard_normal(q.shape[0])
             assert float(x @ (q @ x)) > 0.0
+
+    @pytest.mark.parametrize("shape, stretch", [((32, 40), 2.0), ((64, 64), 0.0), ((128, 128), 4.0)])
+    def test_matches_sparse_oracle(self, shape, stretch):
+        # the nine-band assembly against kron stiffness plus G^T diag(a w) G
+        g = build_grid(5, 1.0, *shape, stretch=stretch)
+        q = energy_operator(g, 1.3)
+        want = _sparse_energy_operator(g, 1.3)
+        q.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(q.indptr, want.indptr)
+        assert np.array_equal(q.indices, want.indices)
+        assert np.abs(q.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
     def test_bad_coefficient(self, grid64):
         with pytest.raises(DomainError):
