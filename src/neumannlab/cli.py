@@ -8,11 +8,18 @@ pack for the run's dimension, the package version, the seed, and wall
 timings; JSON outputs name the manifest, CSV bodies stay plain so that
 re-runs are byte-identical.
 
+``--seed`` and ``--threads`` are config keys of the solver subcommands
+(``minimize``, ``sweep``, ``alpha0``) only, so the manifest echoes them
+and a replay reuses them; the other subcommands reject them.
+
 Exit codes: 0 success, 1 internal error (an exception outside the
 package's own types, once the config has validated: the manifest
 records it as ``failure`` and the traceback goes to stderr), 2
-validation failure (bad flags, malformed or incomplete config,
-out-of-domain inputs), 3 accuracy or convergence failure.
+validation failure (bad flags, malformed or incomplete config, a float
+or bool for an integer key, out-of-domain inputs), 3 accuracy or
+convergence failure.  The solver subcommands write every output and
+the manifest first, then exit 3 when any solve they report stopped
+above ``grad_tol``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .constants import make_params, snapshot
 from .domain_grid import build_grid, save_field_snapshot
 from .errors import ConfigurationError, NumericalFailure, ValidationError
 from .instanton import expansion_suite
-from .nehari import NormTriple, big_I, lower_bound, project_t, psi, upper_bound_constant
+from .nehari import NormTriple, big_I, lower_bound, project_t, psi, upper_bound
 from .solver import SolveConfig, estimate_alpha0, minimize, sweep_alpha
 
 # Geometric width ladder small enough for the quadratic small-width model
@@ -44,6 +51,24 @@ DEFAULT_EPS = (0.00078125, 0.0015625, 0.003125, 0.00625, 0.0125)
 # One schema row per config key: parser, default (REQUIRED sentinel when
 # the key has no sensible fallback), and the subcommands that accept it.
 _REQUIRED = object()
+
+
+def _int(value) -> int:
+    """An int key's value: an int, or a base-10 integer string.  A bool or
+    a float (a replayed manifest's 32.7 or true) is refused, never
+    truncated."""
+    if isinstance(value, str):
+        return int(value, 10)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("not an integer")
+
+
+def _thread_count(value) -> int:
+    n = _int(value)
+    if n < 1:
+        raise ValueError("threads >= 1 required")
+    return n
 
 
 def _finite_float(value) -> float:
@@ -64,23 +89,24 @@ def _float_list(value) -> tuple:
 _SOLVER_COMMANDS = ("minimize", "sweep", "alpha0")
 
 CONFIG_SCHEMA = {
-    "N": (int, 5, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
+    "N": (_int, 5, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
     "R": (_finite_float, 1.0, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
     "a": (_finite_float, 1.0, _SOLVER_COMMANDS),
     "alpha": (_finite_float, 0.0, ("minimize",)),
     "alpha_list": (_float_list, _REQUIRED, ("sweep", "alpha0")),
-    "n_r": (int, 96, _SOLVER_COMMANDS),
-    "n_theta": (int, 96, _SOLVER_COMMANDS),
+    "n_r": (_int, 96, _SOLVER_COMMANDS),
+    "n_theta": (_int, 96, _SOLVER_COMMANDS),
     "stretch": (_finite_float, 3.0, _SOLVER_COMMANDS),
-    "max_iters": (int, 400, _SOLVER_COMMANDS),
+    "max_iters": (_int, 400, _SOLVER_COMMANDS),
     "grad_tol": (_finite_float, 1e-4, _SOLVER_COMMANDS),
-    "n_starts": (int, 4, _SOLVER_COMMANDS),
-    "seed": (int, 0, _SOLVER_COMMANDS),
+    "n_starts": (_int, 4, _SOLVER_COMMANDS),
+    "seed": (_int, 0, _SOLVER_COMMANDS),
+    "threads": (_thread_count, 1, _SOLVER_COMMANDS),
     "tau": (_finite_float, 0.01, _SOLVER_COMMANDS),
     "triples": (str, _REQUIRED, ("nehari-check",)),
     "eps_list": (_float_list, DEFAULT_EPS, ("instanton-verify",)),
-    "n_rho": (int, 24, ("instanton-verify",)),
-    "n_quad_theta": (int, 24, ("instanton-verify",)),
+    "n_rho": (_int, 24, ("instanton-verify",)),
+    "n_quad_theta": (_int, 24, ("instanton-verify",)),
 }
 
 def _fmt(x) -> str:
@@ -264,7 +290,7 @@ def _result_payload(res) -> dict:
     }
 
 
-def _run_constants(cfg, out_dir, ctx, threads):
+def _run_constants(cfg, out_dir, ctx):
     pack = snapshot(cfg["N"], mean_curvature=1.0 / cfg["R"])
     text = json.dumps(pack, indent=2, sort_keys=True)
     print(text)
@@ -276,7 +302,7 @@ def _run_constants(cfg, out_dir, ctx, threads):
     return 0
 
 
-def _run_nehari_check(cfg, out_dir, ctx, threads):
+def _run_nehari_check(cfg, out_dir, ctx):
     rows = []
     with open(cfg["triples"], newline="") as fh:
         reader = csv.DictReader(fh)
@@ -298,11 +324,7 @@ def _run_nehari_check(cfg, out_dir, ctx, threads):
     for idx, triple in enumerate(rows):
         level = big_I(triple)
         lb = lower_bound(triple)
-        ub = triple.beta * (
-            1.0
-            + (4.0 / float(triple.exponents.two_tilde)) * triple.delta
-            + upper_bound_constant(triple.N) * triple.delta**2
-        )
+        ub = upper_bound(triple)
         bad = []
         slack = 1e-12 * abs(level)
         if level < lb - slack:
@@ -338,7 +360,7 @@ def _run_nehari_check(cfg, out_dir, ctx, threads):
     return 0
 
 
-def _run_instanton_verify(cfg, out_dir, ctx, threads):
+def _run_instanton_verify(cfg, out_dir, ctx):
     report = expansion_suite(
         cfg["N"],
         cfg["R"],
@@ -370,9 +392,9 @@ def _run_instanton_verify(cfg, out_dir, ctx, threads):
     return 0
 
 
-def _run_minimize(cfg, out_dir, ctx, threads):
+def _run_minimize(cfg, out_dir, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
-    res = minimize(params, solve_config, grid, threads=threads)
+    res = minimize(params, solve_config, grid, threads=cfg["threads"])
     payload = _result_payload(res)
     payload["alpha"] = params.alpha
     payload["manifest"] = "manifest.json"
@@ -398,9 +420,9 @@ def _run_minimize(cfg, out_dir, ctx, threads):
     return 0
 
 
-def _run_sweep(cfg, out_dir, ctx, threads):
+def _run_sweep(cfg, out_dir, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
-    swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid, threads=threads)
+    swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid, threads=cfg["threads"])
     rows = [_diagnostic_row(a, r) for a, r in zip(swept.alphas, swept.results)]
     if out_dir is not None:
         _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, rows)
@@ -422,17 +444,30 @@ def _run_sweep(cfg, out_dir, ctx, threads):
         "levels": [r.S_alpha_est for r in swept.results],
         "monotone_violations": list(swept.monotone_violations),
     }
+    problems = []
     if swept.monotone_violations:
-        raise NumericalFailure(
-            f"level decreased across {len(swept.monotone_violations)} alpha step(s)"
-        )
+        problems.append(f"level decreased across {len(swept.monotone_violations)} alpha step(s)")
+    unconverged = [a for a, r in zip(swept.alphas, swept.results) if not r.converged]
+    if unconverged:
+        problems.append(_stopped_above_tol(unconverged, solve_config))
+    if problems:
+        raise NumericalFailure("; ".join(problems))
     return 0
 
 
-def _run_alpha0(cfg, out_dir, ctx, threads):
+def _stopped_above_tol(alphas, solve_config) -> str:
+    """The failure that names the alphas whose reported solve did not
+    converge."""
+    return (
+        f"{len(alphas)} solve(s) stopped above grad_tol={solve_config.grad_tol} "
+        f"(max_iters={solve_config.max_iters}) at alpha = {', '.join(f'{a:g}' for a in alphas)}"
+    )
+
+
+def _run_alpha0(cfg, out_dir, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     bracket = (cfg["alpha_list"][0], cfg["alpha_list"][-1])
-    res = estimate_alpha0(params, solve_config, grid, bracket, threads=threads)
+    res = estimate_alpha0(params, solve_config, grid, bracket, threads=cfg["threads"])
     payload = {
         "alpha_hat": res.alpha_hat,
         "certificate_below": list(res.certificate_below),
@@ -451,11 +486,14 @@ def _run_alpha0(cfg, out_dir, ctx, threads):
         _write_json(os.path.join(out_dir, "alpha0.json"), payload)
         ctx["outputs"].append("alpha0.json")
     ctx["summary"] = {"alpha_hat": res.alpha_hat}
+    unconverged = [a for a, _, converged in res.evaluations if not converged]
+    if unconverged:
+        raise NumericalFailure(_stopped_above_tol(unconverged, solve_config))
     return 0
 
 
-# Every handler takes (cfg, out_dir, ctx, threads); the config schema
-# decides which keys reach it.
+# Every handler takes (cfg, out_dir, ctx); the config schema decides
+# which keys reach it.
 HANDLERS = {
     "constants": _run_constants,
     "nehari-check": _run_nehari_check,
@@ -469,7 +507,7 @@ SUBCOMMANDS = tuple(HANDLERS)
 
 
 def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
-        seed=None, threads=1) -> int:
+        seed=None, threads=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     t0 = time.perf_counter()
     ctx = {"outputs": [], "summary": {}}
@@ -482,17 +520,17 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
                 f"unknown subcommand {subcommand!r}, want one of {', '.join(SUBCOMMANDS)}"
             )
         raw = {} if config_path is None else _read_config_file(config_path)
-        # the override joins the config, so cfg["seed"] is the one seed a
-        # run uses and the one its manifest echoes for a replay
+        # the overrides join the config, so cfg["seed"] and cfg["threads"]
+        # are the ones a run uses and the ones its manifest echoes for a
+        # replay
         overrides = dict(overrides or {})
-        if seed is not None:
-            overrides["seed"] = seed
+        for key, value in (("seed", seed), ("threads", threads)):
+            if value is not None:
+                overrides[key] = value
         cfg = resolve_config(subcommand, raw, overrides)
-        if threads < 1:
-            raise ConfigurationError(f"threads >= 1 required, got {threads}")
         if output_dir is not None:
             os.makedirs(output_dir, exist_ok=True)
-        code = HANDLERS[subcommand](cfg, output_dir, ctx, threads)
+        code = HANDLERS[subcommand](cfg, output_dir, ctx)
     except ValidationError as exc:
         # No manifest: a run whose config never validated has nothing to echo.
         print(f"validation error: {exc}", file=sys.stderr)
@@ -519,7 +557,7 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
             if "N" in cfg
             else None,
             "seed": cfg.get("seed"),
-            "threads": threads,
+            "threads": cfg.get("threads"),
             "outputs": ctx["outputs"],
             "summary": ctx["summary"],
             "failure": failure,
@@ -544,12 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=1,
-            help="multistart worker count (default 1)",
+            default=None,
+            help="multistart worker count for minimize, sweep and alpha0 (default 1)",
         )
         for key, (parse, _, commands) in CONFIG_SCHEMA.items():
-            if name not in commands or key == "seed":
-                continue  # --seed is the common override flag above
+            if name not in commands or key in ("seed", "threads"):
+                continue  # --seed and --threads are the common flags above
             flag = "--" + key.replace("_", "-")
             if parse is _float_list:
                 p.add_argument(flag, dest=key, default=None, metavar="V1,V2,...")
@@ -570,7 +608,6 @@ def main(argv=None) -> int:
         config_path=args.config,
         output_dir=args.out,
         overrides=overrides,
-        threads=args.threads,
     )
 
 

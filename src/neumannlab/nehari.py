@@ -33,6 +33,7 @@ __all__ = [
     "big_I",
     "big_I_product_form",
     "lower_bound",
+    "upper_bound",
     "energy_over_beta",
     "upper_bound_constant",
     "h_function",
@@ -158,6 +159,16 @@ def lower_bound(triple: NormTriple) -> float:
     """Elementary bound beta (1 + (4/two_tilde) delta) <= big_I."""
     tt = float(triple.exponents.two_tilde)
     return triple.beta * (1.0 + (4.0 / tt) * triple.delta)
+
+
+def upper_bound(triple: NormTriple) -> float:
+    """Two-sided bound's upper half,
+    big_I <= beta (1 + (4/two_tilde) delta + C delta^2), with C the
+    ``upper_bound_constant`` of the dimension."""
+    tt = float(triple.exponents.two_tilde)
+    return triple.beta * (
+        1.0 + (4.0 / tt) * triple.delta + upper_bound_constant(triple.N) * triple.delta**2
+    )
 
 
 def energy_over_beta(delta, N: int):

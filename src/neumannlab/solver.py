@@ -26,6 +26,10 @@ otherwise.  Pairs with s.y <= 0 are dropped.  When the
 line search fails the history is cleared and the search retried along
 z; a second failure stops the descent.  Each accepted iterate is
 rescaled to critical mass 1 to pin the scale direction.
+
+A run is one continuation: one factorization of Q and one worker pool
+serve all its solves at fixed alpha, and each solve reads its
+Euler-Lagrange residual from the winning descent's final dual norm.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -42,7 +47,7 @@ from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
 from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms
-from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure, ResolutionError
+from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure
 from .instanton import InstantonParams
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
 
@@ -149,7 +154,7 @@ class Alpha0Result:
     threshold: float
     analytic_curvature_bound: float
     analytic_amax_bound: float
-    evaluations: tuple
+    evaluations: tuple            # (alpha, S_est, converged) per solve, in order
 
 
 def evaluate_I(field: Field, params) -> float:
@@ -179,6 +184,11 @@ def _first_variation(field: Field, params):
     return rep, project_t(rep.triple), d_psi
 
 
+def _envelope_prefactor(tr: NormTriple) -> float:
+    """dI/dPsi = 2 (N Psi)^((2-N)/N) for I = (N Psi)^{2/N}."""
+    return 2.0 * (tr.N * psi_from_projection(tr)) ** ((2.0 - tr.N) / tr.N)
+
+
 def gradient_I(field: Field, params) -> Field:
     """Nodal derivative of I via the envelope theorem.
 
@@ -187,9 +197,7 @@ def gradient_I(field: Field, params) -> Field:
     triple differentiates.
     """
     rep, _, d_psi = _first_variation(field, params)
-    tr = rep.triple
-    pref = 2.0 * (tr.N * psi_from_projection(tr)) ** ((2.0 - tr.N) / tr.N)
-    return Field(field.grid, pref * d_psi)
+    return Field(field.grid, _envelope_prefactor(rep.triple) * d_psi)
 
 
 def _energy_solver(grid: AxiGrid, a: float):
@@ -387,39 +395,41 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     )
 
 
+def _resolvable_bubble(grid: AxiGrid, frac: float) -> Field:
+    """The bubble of scale frac R, clamped to what the grid resolves."""
+    eps = max(frac * grid.R, 2.0 * grid.min_boundary_spacing)
+    return interpolate_instanton(grid, InstantonParams(eps))
+
+
 def default_starts(params, config: SolveConfig, grid: AxiGrid):
     """Constant + three bubbles (clamped to resolvable scale) + random."""
-    starts = [Field.constant(grid, 1.0)]
-    floor = 2.0 * grid.min_boundary_spacing
-    for frac in (0.3, 0.1, 0.03):
-        eps = max(frac * grid.R, floor)
-        try:
-            starts.append(interpolate_instanton(grid, InstantonParams(eps)))
-        except ResolutionError:
-            continue
+    starts = [Field.constant(grid, 1.0)] + [_resolvable_bubble(grid, f) for f in (0.3, 0.1, 0.03)]
     rng = np.random.default_rng(config.seed)
     while len(starts) < config.n_starts:
         starts.append(Field(grid, 0.2 + rng.random((grid.n_r, grid.n_theta))))
     return starts[: config.n_starts]
 
 
-def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, threads, solve_q):
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
+def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, pool, solve_q):
+    """Descend from every start over ``pool`` and keep the lowest level."""
+    outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
 
     # levels that agree to rounding tie, and the earliest start wins, so
     # a warm start listed first is kept over an equal cold one
     lowest = min(d.level for d in outcomes)
     best = next(d for d in outcomes if d.level <= lowest + TIE_RTOL * abs(lowest))
     u, tr = best.field, best.triple
+    t = project_t(tr)
     return SolveResult(
         S_alpha_est=big_I(tr),
         minimizer=u,
         triple=tr,
         iterations=best.iterations,
         converged=best.converged,
-        diagnostics=fit_instanton(Field(grid, project_t(tr) * u.values)),
-        el_residual=euler_lagrange_residual(u, params, solve_q),
+        diagnostics=fit_instanton(Field(grid, t * u.values)),
+        # the descent's final dual norm is that of gradient_I at u, which
+        # is the residual's dPsi / t scaled by the prefactor and t
+        el_residual=best.grad_norm / (_envelope_prefactor(tr) * t),
         start_values=tuple(d.start_level for d in outcomes),
         starts=tuple(
             StartRecord(d.iterations, d.level, d.grad_norm, d.stop_reason) for d in outcomes
@@ -427,10 +437,30 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, th
     )
 
 
+@contextmanager
+def _continuation(base_params, config: SolveConfig, grid: AxiGrid, threads: int, restarts=()):
+    """Yield solve(alpha, warm=None) for one run: one factorization of Q
+    and one pool of ``threads`` workers serve every solve.  A cold solve
+    starts from default_starts, a warm one from [warm, constant, *restarts]."""
+    solve_q = _energy_solver(grid, base_params.a)
+    constant = Field.constant(grid, 1.0)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+
+        def solve(alpha: float, warm: Optional[Field] = None) -> SolveResult:
+            params = replace(base_params, alpha=alpha)
+            if warm is None:
+                starts = default_starts(params, config, grid)
+            else:
+                starts = [warm, constant, *restarts]
+            return _minimize_over_starts(params, config, grid, starts, pool, solve_q)
+
+        yield solve
+
+
 def minimize(params, config: SolveConfig, grid: AxiGrid, threads: int = 1) -> SolveResult:
     """Best-of-multistart descent on I_alpha."""
-    starts = default_starts(params, config, grid)
-    return _minimize_over_starts(params, config, grid, starts, threads, _energy_solver(grid, params.a))
+    with _continuation(params, config, grid, threads) as solve:
+        return solve(params.alpha)
 
 
 def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid, threads: int = 1) -> SweepResult:
@@ -445,28 +475,14 @@ def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid, threads
         raise DomainError("alpha values must be nonnegative")
 
     results = []
-    prev: Optional[Field] = None
-    floor = 2.0 * grid.min_boundary_spacing
-    solve_q = _energy_solver(grid, base_params.a)
-    for a in alphas:
-        params = replace(base_params, alpha=a)
-        if prev is None:
-            starts = default_starts(params, config, grid)
-        else:
-            starts = [prev, Field.constant(grid, 1.0)]
-            try:
-                starts.append(
-                    interpolate_instanton(grid, InstantonParams(max(0.05 * grid.R, floor)))
-                )
-            except ResolutionError:
-                pass
-        res = _minimize_over_starts(params, config, grid, starts, threads, solve_q)
-        results.append(res)
-        prev = res.minimizer
+    # a fine bubble restarts every warm solve, so the sweep can leave the
+    # constant branch once concentration wins
+    bubble = _resolvable_bubble(grid, 0.05)
+    with _continuation(base_params, config, grid, threads, (bubble,)) as solve:
+        for a in alphas:
+            results.append(solve(a, results[-1].minimizer if results else None))
     levels = [r.S_alpha_est for r in results]
-    violations = tuple(
-        i for i in range(1, len(levels)) if levels[i] < levels[i - 1] - 1e-6
-    )
+    violations = tuple(i for i in range(1, len(levels)) if levels[i] < levels[i - 1] - 1e-6)
     return SweepResult(alphas=tuple(alphas), results=tuple(results), monotone_violations=violations)
 
 
@@ -506,39 +522,34 @@ def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket, th
     threshold = (1.0 - tau) * sobolev_S(grid.N) / 2.0 ** (2.0 / grid.N)
 
     evals = []
-    solve_q = _energy_solver(grid, base_params.a)
+    with _continuation(base_params, config, grid, threads) as solve:
 
-    def level_at(a, warm):
-        params = replace(base_params, alpha=a)
-        if warm is None:
-            starts = default_starts(params, config, grid)
-        else:
-            starts = [warm, Field.constant(grid, 1.0)]
-        res = _minimize_over_starts(params, config, grid, starts, threads, solve_q)
-        evals.append((a, res.S_alpha_est))
-        return res
+        def level_at(a, warm):
+            res = solve(a, warm)
+            evals.append((a, res.S_alpha_est, res.converged))
+            return res
 
-    res_lo = level_at(lo, None)
-    if res_lo.S_alpha_est >= threshold:
-        raise BracketError(
-            f"S_est({lo}) = {res_lo.S_alpha_est:.6f} is not below the threshold "
-            f"{threshold:.6f}; move the lower bracket down"
-        )
-    res_hi = level_at(hi, res_lo.minimizer)
-    if res_hi.S_alpha_est < threshold:
-        raise BracketError(
-            f"S_est({hi}) = {res_hi.S_alpha_est:.6f} never reaches the threshold "
-            f"{threshold:.6f}; move the upper bracket up"
-        )
+        res_lo = level_at(lo, None)
+        if res_lo.S_alpha_est >= threshold:
+            raise BracketError(
+                f"S_est({lo}) = {res_lo.S_alpha_est:.6f} is not below the threshold "
+                f"{threshold:.6f}; move the lower bracket down"
+            )
+        res_hi = level_at(hi, res_lo.minimizer)
+        if res_hi.S_alpha_est < threshold:
+            raise BracketError(
+                f"S_est({hi}) = {res_hi.S_alpha_est:.6f} never reaches the threshold "
+                f"{threshold:.6f}; move the upper bracket up"
+            )
 
-    s_lo, s_hi, warm = res_lo.S_alpha_est, res_hi.S_alpha_est, res_lo.minimizer
-    while hi - lo > 1e-3 * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        res_mid = level_at(mid, warm)
-        if res_mid.S_alpha_est < threshold:
-            lo, s_lo, warm = mid, res_mid.S_alpha_est, res_mid.minimizer
-        else:
-            hi, s_hi = mid, res_mid.S_alpha_est
+        s_lo, s_hi, warm = res_lo.S_alpha_est, res_hi.S_alpha_est, res_lo.minimizer
+        while hi - lo > 1e-3 * 0.5 * (hi + lo):
+            mid = 0.5 * (lo + hi)
+            res_mid = level_at(mid, warm)
+            if res_mid.S_alpha_est < threshold:
+                lo, s_lo, warm = mid, res_mid.S_alpha_est, res_mid.minimizer
+            else:
+                hi, s_hi = mid, res_mid.S_alpha_est
     return Alpha0Result(
         alpha_hat=0.5 * (lo + hi),
         certificate_below=(lo, s_lo),

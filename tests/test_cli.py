@@ -134,6 +134,19 @@ class TestConfigRejection:
             err = capsys.readouterr().err
             assert f"invalid value for {key}" in err and "not a finite number" in err
 
+    @pytest.mark.parametrize("key, number", [("n_r", "32.7"), ("max_iters", "true"), ("seed", "2.9")])
+    def test_nonint_value_rejected(self, key, number, tmp_path, capsys):
+        # a replayed manifest's JSON float or bool is refused, not truncated
+        replay = write_cfg(
+            tmp_path / "manifest.json",
+            '{"config": {"n_r": 32, "n_theta": 32, "alpha_list": [1.0], "%s": %s}}' % (key, number),
+        )
+        out = tmp_path / "run"
+        assert cli.run("sweep", config_path=replay, output_dir=str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"invalid value for {key}" in err and "not an integer" in err
+
     def test_unknown_override_keys_listed(self, capsys):
         assert cli.run("constants", overrides={"N": "5", "bogus": "1"}) == 2
         assert "bogus" in capsys.readouterr().err
@@ -145,10 +158,11 @@ class TestConfigRejection:
 
     @pytest.mark.parametrize("subcommand", ["constants", "nehari-check", "instanton-verify"])
     def test_seed_flag_rejected_without_solver(self, subcommand, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert cli.main([subcommand, "--out", str(out), "--seed", "3"]) == 2
-        assert "seed" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        for flag, value in (("seed", "3"), ("threads", "2")):
+            out = tmp_path / flag
+            assert cli.main([subcommand, "--out", str(out), "--" + flag, value]) == 2
+            assert flag in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
 
 
 class TestMinimizeCommand:
@@ -322,6 +336,18 @@ class TestSweepCommand:
         assert levels[1] > levels[0]
 
 
+    def test_unconverged_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 3.0\nmax_iters = 2\n")
+        out = tmp_path / "run"
+        assert cli.run("sweep", config_path=cfg, output_dir=str(out)) == 3
+        assert "alpha = 3" in capsys.readouterr().err
+        rows = (out / "sweep.csv").read_text().strip().splitlines()
+        assert rows[1].split(",")[2] == "0"
+        assert (out / "field_000.csv").exists() and (out / "field_000.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "stopped above grad_tol" in manifest["failure"]
+
+
 class TestAlpha0Command:
     def test_bracket_from_alpha_list(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 2.0, 3.5\n")
@@ -339,6 +365,23 @@ class TestAlpha0Command:
     def test_bad_bracket(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 3.5, 2.0\n")
         assert cli.run("alpha0", config_path=cfg) == 2
+
+    def test_unconverged_exits_3(self, tmp_path, capsys):
+        # at a = 1 the constant wins every solve and is critical at once;
+        # at a = 8 a nonconstant field wins below the threshold, and two
+        # iterations leave it unconverged
+        cfg = write_cfg(
+            tmp_path / "c.cfg", "n_r = 32\nn_theta = 32\na = 8.0\nalpha_list = 0.0, 3.5\nmax_iters = 2\n"
+        )
+        out = tmp_path / "run"
+        assert cli.run("alpha0", config_path=cfg, output_dir=str(out)) == 3
+        assert "stopped above grad_tol" in capsys.readouterr().err
+        doc = json.loads((out / "alpha0.json").read_text())
+        assert all(len(row) == 3 for row in doc["evaluations"])
+        assert not all(converged for _, _, converged in doc["evaluations"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "stopped above grad_tol" in manifest["failure"]
+        assert manifest["outputs"] == ["alpha0.json"]
 
 
 class TestNehariCheckCommand:
@@ -420,8 +463,21 @@ class TestInstantonVerifyCommand:
 
 
 class TestThreads:
-    def test_nonpositive_rejected(self, capsys):
-        assert cli.run("constants", threads=0) == 2
+    def test_nonpositive_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER)
+        out = tmp_path / "run"
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out), threads=0) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_replays_thread_count(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.5\n")
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert cli.main(["minimize", "--config", cfg, "--out", str(out1), "--threads", "2"]) == 0
+        assert cli.run("minimize", config_path=str(out1 / "manifest.json"), output_dir=str(out2)) == 0
+        for out in (out1, out2):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["threads"] == manifest["config"]["threads"] == 2
 
     def test_threaded_result_matches_serial(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 1.0\n")

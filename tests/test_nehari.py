@@ -68,6 +68,7 @@ def test_level_bounds_in_bulk():
         tt = float(tr.exponents.two_tilde)
         lb = NE.lower_bound(tr)
         ub = tr.beta * (1.0 + 4.0 / tt * tr.delta + cbar * tr.delta**2)
+        assert NE.upper_bound(tr) == ub
         assert tr.beta <= level * (1 + 1e-14)
         assert lb <= level * (1 + 1e-12)
         assert level <= ub * (1 + 1e-12)

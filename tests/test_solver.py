@@ -1,5 +1,7 @@
 """Descent machinery: gradients, multistart minimization, sweeps, threshold."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,9 @@ from neumannlab.solver import (
 )
 
 LIMIT5 = sobolev_S(5) / 2.0 ** (2.0 / 5.0)  # 11.225329987851262
+
+# a one-thread stand-in for the run's worker pool
+SERIAL = SimpleNamespace(map=map)
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +229,7 @@ class TestStarts:
             return Descent(start, level, k, True, 12.0, 0.0, "converged", norms(start, params).triple)
 
         monkeypatch.setattr(solver, "_descend", fake)
-        res = _minimize_over_starts(p, quick_config(), grid48, starts, 1, _energy_solver(grid48, p.a))
+        res = _minimize_over_starts(p, quick_config(), grid48, starts, SERIAL, _energy_solver(grid48, p.a))
         assert res.minimizer is starts[0]
         assert res.iterations == 0
 
@@ -255,20 +260,21 @@ class TestStarts:
 
     def test_start_level_is_one_pass(self, grid48, monkeypatch):
         # the constant converges at once: its start pass doubles as its
-        # start value and gives the winner's triple, then one gradient and
-        # the residual
+        # start value and gives the winner's triple, then one gradient,
+        # whose dual norm is also the residual
         p = make_params(5, 1.0, 0.0)
         starts = [Field.constant(grid48, 1.0)]
         solve = _energy_solver(grid48, p.a)
         want = evaluate_I(starts[0], p)
         calls = count_kernel_passes(monkeypatch)
-        res = _minimize_over_starts(p, quick_config(), grid48, starts, 1, solve)
-        assert calls == [False, True, True]
+        res = _minimize_over_starts(p, quick_config(), grid48, starts, SERIAL, solve)
+        assert calls == [False, True]
         assert res.start_values == (want,)
 
     def test_winner_triple_is_the_descents(self, grid48, monkeypatch):
         # the winner's triple is its last accepted trial's, rescaled by
-        # homogeneity: the solve adds only the residual's pass to the descent
+        # homogeneity, and its residual is its final dual norm: the solve
+        # adds no pass to the descent
         p = make_params(5, 1.0, 2.0)
         starts = [interpolate_instanton(grid48, InstantonParams(0.3))]
         solve = _energy_solver(grid48, p.a)
@@ -276,9 +282,9 @@ class TestStarts:
         calls = count_kernel_passes(monkeypatch)
         out = _descend(starts[0], p, cfg, solve)
         descent_calls, calls[:] = list(calls), []
-        res = _minimize_over_starts(p, cfg, grid48, starts, 1, solve)
+        res = _minimize_over_starts(p, cfg, grid48, starts, SERIAL, solve)
         assert out.iterations == 5
-        assert calls == descent_calls + [True]
+        assert calls == descent_calls
         want = norms(res.minimizer, p).triple
         assert res.triple.c == pytest.approx(1.0, rel=1e-13)
         for got, exact in zip(
@@ -442,6 +448,47 @@ class TestSweep:
         # alpha = 0 entry must reproduce a cold minimize at alpha = 0
         cold = minimize(make_params(5, 1.0, 0.0), cfg, grid64)
         assert levels[0] == pytest.approx(cold.S_alpha_est, rel=1e-10)
+
+
+class TestContinuation:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # pools opened and factorizations made during one call
+        seen = {"pools": 0, "factorizations": 0}
+        real_pool, real_solver = solver.ThreadPoolExecutor, solver._energy_solver
+
+        def pool(*args, **kwargs):
+            seen["pools"] += 1
+            return real_pool(*args, **kwargs)
+
+        def energy_solver(*args):
+            seen["factorizations"] += 1
+            return real_solver(*args)
+
+        monkeypatch.setattr(solver, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(solver, "_energy_solver", energy_solver)
+        return seen
+
+    def test_sweep_is_one_run(self, counts):
+        grid = build_grid(5, 1.0, 32, 32, stretch=2.0)
+        sw = sweep_alpha(make_params(5, 1.0, 0.0), [0.0, 1.0, 2.0], quick_config(), grid, threads=2)
+        assert len(sw.results) == 3
+        assert counts == {"pools": 1, "factorizations": 1}
+
+    def test_alpha0_is_one_run(self, counts):
+        grid = build_grid(5, 1.0, 32, 32, stretch=2.0)
+        out = estimate_alpha0(make_params(5, 1.0, 0.0), quick_config(max_iters=150), grid, (2.0, 3.5))
+        assert len(out.evaluations) >= 8
+        assert counts == {"pools": 1, "factorizations": 1}
+
+    def test_reported_residual_is_independent_residual(self, grid48):
+        # read from the winner's final dual norm, the residual agrees with
+        # the independent evaluation on the reported minimizer, converged
+        # or not
+        p = make_params(5, 1.0, 2.0)
+        res = minimize(p, quick_config(max_iters=3), grid48)
+        want = euler_lagrange_residual(res.minimizer, p, _energy_solver(grid48, p.a))
+        assert res.el_residual == pytest.approx(want, rel=1e-10)
 
 
 class TestFitInstanton:
