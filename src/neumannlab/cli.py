@@ -1,12 +1,14 @@
 """Command line driver.
 
 Every run reads one key=value config file (or re-reads the ``config``
-block of a previous run's manifest), executes a single subcommand, and
-writes its outputs plus exactly one ``manifest.json`` into the output
-directory.  The manifest echoes the fully resolved config, the constant
-pack for the run's dimension, the package version, the seed, and wall
-timings; JSON outputs name the manifest, CSV bodies stay plain so that
-re-runs are byte-identical.
+block of a previous run's manifest) and executes a single subcommand.
+Its handler computes and stages its outputs in ``ctx["outputs"]``;
+``run()`` alone writes them, then exactly one ``manifest.json`` that
+lists them, and creates the output directory only then.  The manifest
+echoes the fully resolved config, the constant pack for the run's
+dimension, the package version, the seed, and wall timings; JSON
+outputs name the manifest, CSV bodies stay plain so that re-runs are
+byte-identical.
 
 ``--seed`` and ``--threads`` are config keys of the solver subcommands
 (``minimize``, ``sweep``, ``alpha0``) only, so the manifest echoes them
@@ -16,8 +18,9 @@ Exit codes: 0 success, 1 internal error (an exception outside the
 package's own types, once the config has validated: the manifest
 records it as ``failure`` and the traceback goes to stderr), 2
 validation failure (bad flags, malformed or incomplete config, a float
-or bool for an integer key, out-of-domain inputs), 3 accuracy or
-convergence failure.  The solver subcommands write every output and
+or bool for an integer key, out-of-domain inputs, an unreadable input
+file: nothing is written, not even the output directory), 3 accuracy
+or convergence failure.  The solver subcommands write every output and
 the manifest first, then exit 3 when any solve they report stopped
 above ``grad_tol``.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .constants import make_params, snapshot
-from .domain_grid import build_grid, save_field_snapshot
+from .domain_grid import Field, build_grid, save_field_snapshot
 from .errors import ConfigurationError, NumericalFailure, ValidationError
 from .instanton import expansion_suite
 from .nehari import NormTriple, big_I, lower_bound, project_t, psi, upper_bound
@@ -118,13 +122,18 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _read_config_file(path: str) -> dict:
-    """Raw key -> string map from a key=value file or a manifest echo."""
+def _read_text(path: str, what: str) -> str:
+    """A named input file's text; an unreadable file is rejected input."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_config_file(path: str) -> dict:
+    """Raw key -> string map from a key=value file or a manifest echo."""
+    text = _read_text(path, "config")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         # A previous run's manifest; replay its resolved config block.
@@ -237,6 +246,30 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_outputs(out_dir: str, outputs: dict) -> list:
+    """Create ``out_dir`` and write each staged output by its kind: a
+    ``Field`` as its ``<name>.csv``/``<name>.json`` snapshot pair, a dict
+    as JSON, a ``(header, rows)`` tuple as CSV, and a list of records as
+    strict JSON lines.  Returns the written file names in order."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, content in outputs.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(content, Field):
+            save_field_snapshot(content, path + ".csv", path + ".json")
+            written += [name + ".csv", name + ".json"]
+            continue
+        if isinstance(content, dict):
+            _write_json(path, content)
+        elif isinstance(content, tuple):
+            _write_csv(path, *content)
+        else:
+            with open(path, "w") as fh:
+                fh.writelines(_strict_json(rec) + "\n" for rec in content)
+        written.append(name)
+    return written
+
+
 def _diagnostic_row(alpha: float, res) -> list:
     d = res.diagnostics
     fit_eps = d.fit.eps if d.fit is not None else float("nan")
@@ -290,35 +323,28 @@ def _result_payload(res) -> dict:
     }
 
 
-def _run_constants(cfg, out_dir, ctx):
+def _run_constants(cfg, ctx):
     pack = snapshot(cfg["N"], mean_curvature=1.0 / cfg["R"])
-    text = json.dumps(pack, indent=2, sort_keys=True)
-    print(text)
-    if out_dir is not None:
-        payload = dict(pack)
-        payload["manifest"] = "manifest.json"
-        _write_json(os.path.join(out_dir, "constants.json"), payload)
-        ctx["outputs"].append("constants.json")
-    return 0
+    print(json.dumps(pack, indent=2, sort_keys=True))
+    ctx["outputs"]["constants.json"] = dict(pack, manifest="manifest.json")
 
 
-def _run_nehari_check(cfg, out_dir, ctx):
+def _run_nehari_check(cfg, ctx):
     rows = []
-    with open(cfg["triples"], newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"a_bar", "b", "c", "N"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ConfigurationError(
-                f"triples file needs columns a_bar,b,c,N, got {reader.fieldnames}"
+    reader = csv.DictReader(io.StringIO(_read_text(cfg["triples"], "triples")))
+    required = {"a_bar", "b", "c", "N"}
+    if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        raise ConfigurationError(
+            f"triples file needs columns a_bar,b,c,N, got {reader.fieldnames}"
+        )
+    for idx, row in enumerate(reader):
+        try:
+            triple = NormTriple(
+                float(row["a_bar"]), float(row["b"]), float(row["c"]), int(row["N"])
             )
-        for idx, row in enumerate(reader):
-            try:
-                triple = NormTriple(
-                    float(row["a_bar"]), float(row["b"]), float(row["c"]), int(row["N"])
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"triples row {idx}: {exc}") from exc
-            rows.append(triple)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"triples row {idx}: {exc}") from exc
+        rows.append(triple)
     records = []
     violations = 0
     for idx, triple in enumerate(rows):
@@ -348,19 +374,12 @@ def _run_nehari_check(cfg, out_dir, ctx):
     summary = {"rows": len(records), "violations": violations}
     ctx["summary"] = summary
     print(json.dumps(summary))
-    if out_dir is not None:
-        path = os.path.join(out_dir, "nehari_records.jsonl")
-        with open(path, "w") as fh:
-            for rec in records:
-                fh.write(_strict_json(rec))
-                fh.write("\n")
-        ctx["outputs"].append("nehari_records.jsonl")
+    ctx["outputs"]["nehari_records.jsonl"] = records
     if violations:
         raise NumericalFailure(f"{violations} of {len(records)} triples violate the bounds")
-    return 0
 
 
-def _run_instanton_verify(cfg, out_dir, ctx):
+def _run_instanton_verify(cfg, ctx):
     report = expansion_suite(
         cfg["N"],
         cfg["R"],
@@ -374,25 +393,19 @@ def _run_instanton_verify(cfg, out_dir, ctx):
             [eps, value, rec.c1, rec.expected_c1, rec.rel_error_c1]
             for eps, value in zip(rec.eps, rec.values)
         ]
-        name = rec.name.replace("/", "_")
-        fname = f"expansion_{name}.csv"
-        if out_dir is not None:
-            _write_csv(
-                os.path.join(out_dir, fname),
-                ["eps", "value", "extrapolated_coefficient", "expected_coefficient", "rel_error"],
-                rows,
-            )
-            ctx["outputs"].append(fname)
+        ctx["outputs"][f"expansion_{rec.name.replace('/', '_')}.csv"] = (
+            ["eps", "value", "extrapolated_coefficient", "expected_coefficient", "rel_error"],
+            rows,
+        )
         worst = max(worst, rec.rel_error_c0, rec.rel_error_c1)
         print(
             f"{rec.name}: c1 = {rec.c1:.6g} (expected {rec.expected_c1:.6g}, "
             f"rel err {rec.rel_error_c1:.2e})"
         )
     ctx["summary"] = {"worst_rel_error": worst}
-    return 0
 
 
-def _run_minimize(cfg, out_dir, ctx):
+def _run_minimize(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     res = minimize(params, solve_config, grid, threads=cfg["threads"])
     payload = _result_payload(res)
@@ -402,14 +415,8 @@ def _run_minimize(cfg, out_dir, ctx):
         f"S_alpha_est = {res.S_alpha_est:.12g}  converged = {res.converged}  "
         f"iterations = {res.iterations}"
     )
-    if out_dir is not None:
-        _write_json(os.path.join(out_dir, "result.json"), payload)
-        save_field_snapshot(
-            res.minimizer,
-            os.path.join(out_dir, "field_final.csv"),
-            os.path.join(out_dir, "field_final.json"),
-        )
-        ctx["outputs"] += ["result.json", "field_final.csv", "field_final.json"]
+    ctx["outputs"]["result.json"] = payload
+    ctx["outputs"]["field_final"] = res.minimizer
     ctx["summary"] = {"S_alpha_est": res.S_alpha_est, "converged": bool(res.converged)}
     if not res.converged:
         reasons = ", ".join(st.stop_reason for st in res.starts)
@@ -417,24 +424,15 @@ def _run_minimize(cfg, out_dir, ctx):
             f"the lowest start stopped above grad_tol={solve_config.grad_tol} "
             f"(max_iters={solve_config.max_iters}; stop reasons by start: {reasons})"
         )
-    return 0
 
 
-def _run_sweep(cfg, out_dir, ctx):
+def _run_sweep(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid, threads=cfg["threads"])
     rows = [_diagnostic_row(a, r) for a, r in zip(swept.alphas, swept.results)]
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, rows)
-        ctx["outputs"].append("sweep.csv")
-        for idx, res in enumerate(swept.results):
-            base = f"field_{idx:03d}"
-            save_field_snapshot(
-                res.minimizer,
-                os.path.join(out_dir, base + ".csv"),
-                os.path.join(out_dir, base + ".json"),
-            )
-            ctx["outputs"] += [base + ".csv", base + ".json"]
+    ctx["outputs"]["sweep.csv"] = (SWEEP_HEADER, rows)
+    for idx, res in enumerate(swept.results):
+        ctx["outputs"][f"field_{idx:03d}"] = res.minimizer
     for row in rows:
         print(
             f"alpha = {row[0]:.6g}  S_est = {row[1]:.12g}  "
@@ -452,7 +450,6 @@ def _run_sweep(cfg, out_dir, ctx):
         problems.append(_stopped_above_tol(unconverged, solve_config))
     if problems:
         raise NumericalFailure("; ".join(problems))
-    return 0
 
 
 def _stopped_above_tol(alphas, solve_config) -> str:
@@ -464,7 +461,7 @@ def _stopped_above_tol(alphas, solve_config) -> str:
     )
 
 
-def _run_alpha0(cfg, out_dir, ctx):
+def _run_alpha0(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     bracket = (cfg["alpha_list"][0], cfg["alpha_list"][-1])
     res = estimate_alpha0(params, solve_config, grid, bracket, threads=cfg["threads"])
@@ -482,18 +479,15 @@ def _run_alpha0(cfg, out_dir, ctx):
         f"alpha_hat = {res.alpha_hat:.6g}  bracket = [{bracket[0]:g}, {bracket[1]:g}]  "
         f"threshold = {res.threshold:.12g}"
     )
-    if out_dir is not None:
-        _write_json(os.path.join(out_dir, "alpha0.json"), payload)
-        ctx["outputs"].append("alpha0.json")
+    ctx["outputs"]["alpha0.json"] = payload
     ctx["summary"] = {"alpha_hat": res.alpha_hat}
     unconverged = [a for a, _, converged in res.evaluations if not converged]
     if unconverged:
         raise NumericalFailure(_stopped_above_tol(unconverged, solve_config))
-    return 0
 
 
-# Every handler takes (cfg, out_dir, ctx); the config schema decides
-# which keys reach it.
+# Every handler takes (cfg, ctx) and returns nothing; the config schema
+# decides which keys reach it, and run() writes what it stages.
 HANDLERS = {
     "constants": _run_constants,
     "nehari-check": _run_nehari_check,
@@ -510,7 +504,7 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         seed=None, threads=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     t0 = time.perf_counter()
-    ctx = {"outputs": [], "summary": {}}
+    ctx = {"outputs": {}, "summary": {}}
     cfg = None
     code = 0
     failure = None
@@ -528,11 +522,9 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
             if value is not None:
                 overrides[key] = value
         cfg = resolve_config(subcommand, raw, overrides)
-        if output_dir is not None:
-            os.makedirs(output_dir, exist_ok=True)
-        code = HANDLERS[subcommand](cfg, output_dir, ctx)
+        HANDLERS[subcommand](cfg, ctx)
     except ValidationError as exc:
-        # No manifest: a run whose config never validated has nothing to echo.
+        # Nothing is written, not even the output directory.
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
@@ -546,6 +538,7 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         code = 1
         failure = f"{type(exc).__name__}: {exc}"
     if output_dir is not None and cfg is not None:
+        outputs = _write_outputs(output_dir, ctx["outputs"])
         config_echo = {
             k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())
         }
@@ -558,7 +551,7 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
             else None,
             "seed": cfg.get("seed"),
             "threads": cfg.get("threads"),
-            "outputs": ctx["outputs"],
+            "outputs": outputs,
             "summary": ctx["summary"],
             "failure": failure,
             "timings": {"total_s": time.perf_counter() - t0},

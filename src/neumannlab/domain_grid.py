@@ -55,7 +55,11 @@ def _stretched_unit_nodes(n: int, strength: float, toward_end: bool) -> np.ndarr
     xi = np.linspace(0.0, 1.0, n)
     if strength == 0.0:
         return xi
-    mapped = np.expm1(strength * xi) / math.expm1(strength)
+    try:
+        scale = math.expm1(strength)
+    except OverflowError:  # build_grid rejects the nodes this leaves
+        scale = math.inf
+    mapped = np.expm1(strength * xi) / scale
     # mapped clusters toward 0; reflect for clustering toward 1
     return 1.0 - mapped[::-1] if toward_end else mapped
 
@@ -184,12 +188,17 @@ class AxiGrid:
         return masses, deriv
 
 
+@np.errstate(all="ignore")  # a stretch that breaks the grid is rejected below
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
     """Tensor grid whose node masses sum to the exact ball volume.
 
     ``stretch`` > 0 clusters r-nodes toward the boundary r = R and
     theta-nodes toward the axis theta = 0 (where boundary concentration
-    happens); 0 gives uniform nodes.
+    happens); 0 gives uniform nodes.  A stretch is accepted only if the
+    grid it builds has finite, strictly positive node masses and Gauss
+    weights and finite edge coefficients; too strong a stretch for the
+    grid size merges nodes in floating point and raises
+    ``ConfigurationError`` (at 32 x 32, 36 builds and 37.5 does not).
     """
     if not (isinstance(N, (int, np.integer)) and N >= 5):
         raise ConfigurationError(f"integer N >= 5 required, got {N!r}")
@@ -231,6 +240,14 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     )
     cell_mass = area * np.outer(redge, tedge)
     gauss_w = cell_mass * jac / jac.sum(axis=0)
+
+    positive = all(np.all((w > 0) & np.isfinite(w)) for w in (mass, gauss_w))
+    finite = all(np.all(np.isfinite(c)) for c in (r_edge_coeff, theta_edge_coeff))
+    if not (positive and finite):
+        raise ConfigurationError(
+            f"stretch {stretch} breaks the {n_r} x {n_theta} grid: node masses and Gauss "
+            "weights must be finite and positive, edge coefficients finite"
+        )
 
     for arr in (r, theta, mass, r_edge_coeff, theta_edge_coeff, gauss_w):
         arr.setflags(write=False)

@@ -402,12 +402,14 @@ def _resolvable_bubble(grid: AxiGrid, frac: float) -> Field:
 
 
 def default_starts(params, config: SolveConfig, grid: AxiGrid):
-    """Constant + three bubbles (clamped to resolvable scale) + random."""
-    starts = [Field.constant(grid, 1.0)] + [_resolvable_bubble(grid, f) for f in (0.3, 0.1, 0.03)]
+    """The first ``n_starts`` of: constant, three bubbles (clamped to
+    resolvable scale), then seeded random fields."""
+    scales = (0.3, 0.1, 0.03)[: config.n_starts - 1]
+    starts = [Field.constant(grid, 1.0)] + [_resolvable_bubble(grid, f) for f in scales]
     rng = np.random.default_rng(config.seed)
     while len(starts) < config.n_starts:
         starts.append(Field(grid, 0.2 + rng.random((grid.n_r, grid.n_theta))))
-    return starts[: config.n_starts]
+    return starts
 
 
 def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, pool, solve_q):

@@ -1,6 +1,7 @@
 """Exit codes, config handling, and output files of the command line driver."""
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,57 @@ n_starts = 2
 seed = 0
 tau = 0.01
 """
+
+
+TRIPLES = "a_bar,b,c,N\n1.0,0.5,1.0,5\n2.0,0.0,1.5,5\n"
+
+
+class TestOutputDirectory:
+    """run() alone writes: a rejected run leaves nothing, and the manifest
+    names exactly the files written."""
+
+    @pytest.mark.parametrize(
+        "subcommand, extra",
+        [
+            ("minimize", "n_r = 16\n"),
+            ("minimize", "grad_tol = -1\n"),
+            ("minimize", "stretch = 50\n"),
+            ("minimize", "stretch = 1000\n"),
+            ("sweep", "alpha_list = 3.0, 1.0\n"),
+            ("alpha0", "alpha_list = 1.0\n"),
+        ],
+    )
+    def test_rejected_run_creates_nothing(self, subcommand, extra, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + extra)
+        out = tmp_path / "run"
+        assert cli.run(subcommand, config_path=cfg, output_dir=str(out)) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, text",
+        [
+            ("constants", "N = 5\n"),
+            ("nehari-check", "triples = {tmp}/t.csv\n"),
+            ("instanton-verify", "eps_list = 0.003125, 0.00625, 0.0125\n"),
+            ("minimize", SMALL_SOLVER + "alpha = 1.0\n"),
+            ("sweep", SMALL_SOLVER + "alpha_list = 0.5, 1.5\n"),
+            ("alpha0", SMALL_SOLVER + "alpha_list = 2.0, 3.5\n"),
+        ],
+    )
+    def test_manifest_names_the_written_files(self, subcommand, text, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text(TRIPLES)
+        cfg = write_cfg(tmp_path / "c.cfg", text.format(tmp=tmp_path))
+        out = tmp_path / "run"
+        assert cli.run(subcommand, config_path=cfg, output_dir=str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"] + ["manifest.json"])
+
+    def test_without_out_nothing_is_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.run("constants") == 0
+        assert os.listdir(tmp_path) == []
 
 
 class TestConstantsCommand:
@@ -430,6 +482,18 @@ class TestNehariCheckCommand:
     def test_missing_key(self, capsys):
         assert cli.run("nehari-check") == 2
         assert "triples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfea_bar,b,c,N\n"])
+    def test_unreadable_triples_file(self, content, tmp_path, capsys):
+        triples = tmp_path / "t.csv"
+        if content is not None:
+            triples.write_bytes(content)
+        out = tmp_path / "run"
+        code = cli.run("nehari-check", overrides={"triples": str(triples)}, output_dir=str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read triples file" in err and str(triples) in err
+        assert not out.exists()
 
 
 class TestInstantonVerifyCommand:

@@ -110,6 +110,15 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(5, 1.0, 64, 64, stretch=-0.5)
 
+    def test_stretch_that_breaks_the_grid_rejected(self):
+        # at 32 x 32 a stretch of 37.5 merges boundary nodes in floating
+        # point (a zero node mass); 1000 overflows the node map itself
+        g = build_grid(5, 1.0, 32, 32, stretch=36.0)
+        assert np.all(g.mass > 0) and np.all(g.gauss_w > 0)
+        for stretch in (37.5, 50.0, 1000.0):
+            with pytest.raises(ConfigurationError, match=f"stretch {stretch}.*32 x 32"):
+                build_grid(5, 1.0, 32, 32, stretch=stretch)
+
     def test_grid_immutable(self, grid64):
         with pytest.raises(ValueError):
             grid64.mass[3, 3] = 1.0

@@ -293,6 +293,25 @@ class TestStarts:
             assert got == pytest.approx(exact, rel=1e-12)
         assert res.S_alpha_est == pytest.approx(evaluate_I(res.minimizer, p), rel=1e-12)
 
+    @pytest.mark.parametrize("n_starts, bubbles", [(1, 0), (2, 1), (5, 3)])
+    def test_default_starts_build_only_kept_bubbles(self, grid48, monkeypatch, n_starts, bubbles):
+        cfg = quick_config(n_starts=n_starts)
+        # the starts of building all three bubbles, then truncating
+        rng = np.random.default_rng(cfg.seed)
+        want = [Field.constant(grid48, 1.0)]
+        want += [solver._resolvable_bubble(grid48, f) for f in (0.3, 0.1, 0.03)]
+        want += [Field(grid48, 0.2 + rng.random((48, 48))) for _ in range(n_starts - 4)]
+        calls = []
+        real = solver.interpolate_instanton
+        monkeypatch.setattr(
+            solver, "interpolate_instanton", lambda *args: calls.append(args) or real(*args)
+        )
+        starts = solver.default_starts(None, cfg, grid48)
+        assert len(calls) == bubbles
+        assert len(starts) == n_starts
+        for got, exact in zip(starts, want):
+            assert np.array_equal(got.values, exact.values)
+
 
 class TestEvaluateI:
     def test_constant_matches_closed_form(self, grid48):
