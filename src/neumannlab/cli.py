@@ -19,7 +19,8 @@ package's own types, once the config has validated: the manifest
 records it as ``failure`` and the traceback goes to stderr), 2
 validation failure (bad flags, malformed or incomplete config, a float
 or bool for an integer key, out-of-domain inputs, an unreadable input
-file: nothing is written, not even the output directory), 3 accuracy
+file, an output directory that cannot be made: nothing is written, not
+even the output directory), 3 accuracy
 or convergence failure.  The solver subcommands write every output and
 the manifest first, then exit 3 when any solve they report stopped
 above ``grad_tol``.
@@ -244,6 +245,19 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         fh.write(_strict_json(payload, indent=2))
         fh.write("\n")
+
+
+def _check_output_dir(out_dir: str) -> None:
+    """Reject an ``--out`` that cannot become a directory, creating
+    nothing: the nearest existing path, itself or an ancestor, must be a
+    writable directory."""
+    path = out_dir
+    while not os.path.lexists(path):
+        path = os.path.dirname(path) or os.curdir
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigurationError(
+            f"output directory {out_dir} cannot be made: {path} is not a writable directory"
+        )
 
 
 def _write_outputs(out_dir: str, outputs: dict) -> list:
@@ -522,6 +536,8 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
             if value is not None:
                 overrides[key] = value
         cfg = resolve_config(subcommand, raw, overrides)
+        if output_dir is not None:
+            _check_output_dir(output_dir)
         HANDLERS[subcommand](cfg, ctx)
     except ValidationError as exc:
         # Nothing is written, not even the output directory.

@@ -11,10 +11,22 @@ length of a descent trial's move in them to detect a step that
 overflows.  The descent direction and its line search come from the
 energy operator and the power masses below.
 
-The power masses integrate the bilinear interpolant with a 2x2 Gauss
-rule per cell: one 4x4 block, whose row k interpolates Gauss point k
-from a cell's corners, applied to a field's four corner slices, and the
-weights ``gauss_w``, one plane per Gauss point.  The paper's exponents
+The grid is the product of its two axes, and so is everything built on
+it.  The Jacobian r^{N-1} sin^{N-2}(theta) is a product, so each axis
+carries its own 1-D factors as symmetric tridiagonal (main, off) bands:
+a stiffness K of its edge coefficients, the diagonal D of its dual-cell
+measures and a consistent mass M of its 2-point Gauss rule.  The node
+masses, the edge coefficients and the Gauss weights are outer products
+of those 1-D vectors, and the energy metric is
+Q = K_r (x) D_theta + D_r3 (x) K_theta + a M_r (x) M_theta (the radial
+factors carry the sphere area; D_r3 measures int r^{N-3}).
+
+The power masses integrate the bilinear interpolant with that Gauss
+rule per cell.  One 2x2 block, whose row k interpolates Gauss node k of
+a segment from its two ends, is the 1-D rule; its tensor square, a 4x4
+block whose row k interpolates Gauss point k from a cell's corners, is
+applied to a field's four corner slices, with the weights ``gauss_w``,
+one plane per Gauss point.  The paper's exponents
 are tied, q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2), so one power
 s = |u_g|^(2/(N-2)) gives the masses of u^2, |u|^q and |u|^2* as
 sum w u_g^2 s^k, k = 0, 1, 2.  A pass makes one block product and that
@@ -77,15 +89,37 @@ def _cumulative_sin_power(phi: np.ndarray, m: int) -> np.ndarray:
 
 
 # A cell's corners (i, j), (i, j+1), (i+1, j), (i+1, j+1) as slices of a
-# nodal array, one (n_r-1, n_theta-1) plane each; the 2x2 Gauss points
-# (x along r, y along theta) of the unit cell; and the block whose row k
-# interpolates Gauss point k from those corners
+# nodal array, one (n_r-1, n_theta-1) plane each; the 1-D rule, whose
+# row k interpolates Gauss node k of a segment from its two ends; and its
+# tensor square, whose row 2x + y interpolates the Gauss point (x along
+# r, y along theta) from a cell's corners
 _CORNERS = tuple((rows, cols) for rows in (slice(None, -1), slice(1, None))
                  for cols in (slice(None, -1), slice(1, None)))
-_GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-_GAUSS_POINTS = [(x, y) for x in _GAUSS_NODES for y in _GAUSS_NODES]
-_GAUSS_BLOCK = np.array([[(1 - x) * (1 - y), (1 - x) * y, x * (1 - y), x * y] for x, y in _GAUSS_POINTS])
+_LERP = np.array([[1 - x, x] for x in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))])
+_LERP.setflags(write=False)
+_GAUSS_BLOCK = np.kron(_LERP, _LERP)
 _GAUSS_BLOCK.setflags(write=False)
+
+
+def _tridiagonal(left, off, right):
+    """(main, off) bands of the symmetric tridiagonal that sums the 2x2
+    segment blocks [[left, off], [off, right]] over consecutive nodes."""
+    main = np.zeros(len(off) + 1)
+    main[:-1] += left
+    main[1:] += right
+    return main, off
+
+
+def _axis_factors(edge, cells, weights):
+    """One axis's (K, D, M) as (main, off) bands: the stiffness of its
+    edge coefficients, the diagonal of its dual-cell measures and the
+    consistent mass of its segments' (2, n-1) Gauss weights."""
+    lo, hi = _LERP.T
+    return (
+        _tridiagonal(edge, -edge, edge),
+        (cells, np.zeros(len(edge))),
+        _tridiagonal((lo * lo) @ weights, (lo * hi) @ weights, (hi * hi) @ weights),
+    )
 
 
 @dataclass(frozen=True)
@@ -99,10 +133,16 @@ class AxiGrid:
     stretch: float
     r: np.ndarray
     theta: np.ndarray
+    # the 2-D arrays are outer products of per-axis vectors: mass of the
+    # radial and angular dual cells, r_edge_coeff of -K_r off and D_theta,
+    # theta_edge_coeff of D_r3 and -K_theta off, and gauss_w plane 2x + y
+    # of the radial Gauss weights x and the angular ones y
     mass: np.ndarray               # (n_r, n_theta), strictly positive control volumes
     r_edge_coeff: np.ndarray       # (n_r-1, n_theta): measure / h_r^2 per radial edge
     theta_edge_coeff: np.ndarray   # (n_r, n_theta-1): measure / (r h_theta)^2 per angular edge
     gauss_w: np.ndarray            # (4, n_r-1, n_theta-1): Gauss weights, per cell summing to its measure
+    radial: tuple                  # (K_r, D_r3, M_r), each (main, off) bands, with the sphere area
+    angular: tuple                 # (K_theta, D_theta, M_theta), each (main, off) bands
 
     @property
     def volume(self) -> float:
@@ -213,33 +253,35 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     theta = np.pi * _stretched_unit_nodes(n_theta, stretch, toward_end=False)
     area = sphere_area(N - 1)
 
+    # Exact 1-D measures, the radial ones carrying the sphere area: of the
+    # dual cells between the midpoints around each node (int r^{N-1},
+    # int r^{N-3}, finite since N >= 5, and int sin^{N-2}) and of the
+    # segments between two nodes
     r_edges = np.concatenate(([0.0], 0.5 * (r[1:] + r[:-1]), [R]))
-    radial_cells = (r_edges[1:] ** N - r_edges[:-1] ** N) / N
-
+    r_cells = area * (r_edges[1:] ** N - r_edges[:-1] ** N) / N
+    r3_cells = area * (r_edges[1:] ** (N - 2) - r_edges[:-1] ** (N - 2)) / (N - 2)
+    r_segments = area * (r[1:] ** N - r[:-1] ** N) / N
     th_edges = np.concatenate(([0.0], 0.5 * (theta[1:] + theta[:-1]), [np.pi]))
-    cum = _cumulative_sin_power(th_edges, N - 2)
-    angular_cells = np.diff(cum)
+    th_cells = np.diff(_cumulative_sin_power(th_edges, N - 2))
+    th_segments = np.diff(_cumulative_sin_power(theta, N - 2))
 
-    mass = area * np.outer(radial_cells, angular_cells)
+    # edge coefficients for the edge-midpoint gradient energy, and the
+    # 2-point Gauss rule on each segment for the interpolant masses, its
+    # weights renormalized against the segment's exact measure so that
+    # constants stay machine-exact
+    r_edge = r_segments / np.diff(r) ** 2
+    th_edge = th_segments / np.diff(theta) ** 2
+    jr = (_LERP @ np.stack([r[:-1], r[1:]])) ** (N - 1)
+    jth = np.sin(_LERP @ np.stack([theta[:-1], theta[1:]])) ** (N - 2)
+    wr = r_segments * jr / jr.sum(axis=0)
+    wth = th_segments * jth / jth.sum(axis=0)
 
-    # dual-cell measures for the edge-midpoint gradient energy; measures
-    # int r^{N-1} and int r^{N-3} are exact, the latter finite since N >= 5
-    hr = np.diff(r)
-    hth = np.diff(theta)
-    redge = (r[1:] ** N - r[:-1] ** N) / N
-    r_edge_coeff = area * np.outer(redge / hr**2, angular_cells)
-    mr3 = (r_edges[1:] ** (N - 2) - r_edges[:-1] ** (N - 2)) / (N - 2)
-    tedge = np.diff(_cumulative_sin_power(theta, N - 2))
-    theta_edge_coeff = area * np.outer(mr3, tedge / hth**2)
-
-    # 2x2 Gauss rule per cell for the interpolant masses; renormalizing
-    # against the exact cell measure keeps constants machine-exact
-    jac = np.stack(
-        [np.outer((r[:-1] + x * hr) ** (N - 1), np.sin(theta[:-1] + y * hth) ** (N - 2))
-         for x, y in _GAUSS_POINTS]
-    )
-    cell_mass = area * np.outer(redge, tedge)
-    gauss_w = cell_mass * jac / jac.sum(axis=0)
+    mass = np.outer(r_cells, th_cells)
+    r_edge_coeff = np.outer(r_edge, th_cells)
+    theta_edge_coeff = np.outer(r3_cells, th_edge)
+    gauss_w = (wr[:, None, :, None] * wth[None, :, None, :]).reshape(4, n_r - 1, n_theta - 1)
+    radial = _axis_factors(r_edge, r3_cells, wr)
+    angular = _axis_factors(th_edge, th_cells, wth)
 
     positive = all(np.all((w > 0) & np.isfinite(w)) for w in (mass, gauss_w))
     finite = all(np.all(np.isfinite(c)) for c in (r_edge_coeff, theta_edge_coeff))
@@ -249,7 +291,8 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
             "weights must be finite and positive, edge coefficients finite"
         )
 
-    for arr in (r, theta, mass, r_edge_coeff, theta_edge_coeff, gauss_w):
+    bands = [band for factor in radial + angular for band in factor]
+    for arr in (r, theta, mass, r_edge_coeff, theta_edge_coeff, gauss_w, *bands):
         arr.setflags(write=False)
 
     return AxiGrid(
@@ -264,6 +307,8 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
         r_edge_coeff=r_edge_coeff,
         theta_edge_coeff=theta_edge_coeff,
         gauss_w=gauss_w,
+        radial=radial,
+        angular=angular,
     )
 
 
@@ -360,34 +405,30 @@ def norm_gradients(field: Field, params: ProblemParams, coefficients):
 def energy_operator(grid: AxiGrid, a: float) -> sparse.csr_matrix:
     """Sparse symmetric Q with u^T Q u = |grad u|_2^2 + a |u|_2^2.
 
-    Assembled from the same edge coefficients and Gauss rule as norms(),
-    so the quadratic part of the functional is exactly u^T Q u; the cell
-    mass blocks make Q strictly definite.
+    Q = K_r (x) D_theta + D_r3 (x) K_theta + a M_r (x) M_theta, from the
+    grid's 1-D factors, which its edge coefficients and Gauss weights
+    are outer products of; so the quadratic part of the functional is
+    exactly u^T Q u, and the consistent mass makes Q strictly definite.
     """
     if not a > 0:
         raise DomainError(f"a > 0 required, got {a}")
     n_r, n_th = grid.n_r, grid.n_theta
-    # Each edge adds its 2x2 difference block and each cell its 4x4 block
-    # a sum_k w_k lam_k lam_k^T, lam_k row k of the Gauss block, onto the
-    # nine diagonals of the node stencil.  bands[m][i, j] couples node
-    # (i, j) to the node offsets[m] further on in row-major order; a
-    # cell's corners sit at node offsets 0, 1, n_th and n_th + 1.
+    (k_r, d_r3, m_r), (k_th, d_th, m_th) = grid.radial, grid.angular
+    # bands[m][i, j] couples node (i, j) to node (i + di, j + dj), which
+    # is offsets[m] = di n_th + dj further on in row-major order.  There
+    # the band of A (x) B is outer(A_di, B_|dj|), with A_0 the main and A_1
+    # the off diagonal; the diagonal D reaches no neighbor on its own axis.
     offsets = (0, 1, n_th - 1, n_th, n_th + 1)
-    corner_offsets = (0, 1, n_th, n_th + 1)
     bands = np.zeros((len(offsets), n_r, n_th))
-    diag, right, _, down, _ = bands
-    diag[:-1] += grid.r_edge_coeff
-    diag[1:] += grid.r_edge_coeff
-    down[:-1] -= grid.r_edge_coeff
-    diag[:, :-1] += grid.theta_edge_coeff
-    diag[:, 1:] += grid.theta_edge_coeff
-    right[:, :-1] -= grid.theta_edge_coeff
-    pairs = (_GAUSS_BLOCK[:, :, None] * _GAUSS_BLOCK[:, None, :]).reshape(4, 16)
-    cell = (pairs.T @ (a * grid.gauss_w).reshape(4, -1)).reshape((4, 4) + grid.gauss_w.shape[1:])
-    for c in range(4):
-        for d in range(c, 4):
-            band = bands[offsets.index(corner_offsets[d] - corner_offsets[c])]
-            band[_CORNERS[c]] += cell[c, d]
+    diag, right, down_left, down, down_right = bands
+    diag += np.outer(k_r[0], d_th[0])
+    diag += np.outer(d_r3[0], k_th[0])
+    diag += np.outer(a * m_r[0], m_th[0])
+    right[:, :-1] = np.outer(d_r3[0], k_th[1])
+    right[:, :-1] += np.outer(a * m_r[0], m_th[1])
+    down[:-1] = np.outer(k_r[1], d_th[0])
+    down[:-1] += np.outer(a * m_r[1], m_th[0])
+    down_right[:-1, :-1] = down_left[:-1, 1:] = np.outer(a * m_r[1], m_th[1])
     n = n_r * n_th
     upper = [band.ravel()[: n - k] for band, k in zip(bands, offsets)]
     return sparse.diags(upper + upper[1:], offsets + tuple(-k for k in offsets[1:]), format="csr")

@@ -82,6 +82,40 @@ class TestOutputDirectory:
         assert manifest["outputs"]
         assert sorted(os.listdir(out)) == sorted(manifest["outputs"] + ["manifest.json"])
 
+    @pytest.mark.parametrize(
+        "subcommand, text, below",
+        [
+            ("constants", "N = 5\n", ("sub",)),
+            ("constants", "N = 5\n", ()),
+            ("minimize", SMALL_SOLVER + "alpha = 1.0\n", ()),
+            ("minimize", SMALL_SOLVER + "alpha = 1.0\n", ("sub", "deeper")),
+        ],
+        ids=["constants-below-file", "constants-is-file", "minimize-is-file", "minimize-below-file"],
+    )
+    def test_out_that_cannot_be_a_directory(self, subcommand, text, below, tmp_path, capsys,
+                                            monkeypatch):
+        # --out set to an existing file, or below one, exits 2 before the
+        # handler runs, names the path and leaves the file as it was
+        def handler(cfg, ctx):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setitem(cli.HANDLERS, subcommand, handler)
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep")
+        out = afile.joinpath(*below)
+        before = sorted(os.listdir(tmp_path))
+        assert cli.run(subcommand, config_path=cfg, output_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(afile) in err
+        assert afile.read_bytes() == b"keep"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_out_below_new_directories_is_made(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper"
+        assert cli.run("constants", overrides={"N": "5"}, output_dir=str(out)) == 0
+        assert (out / "manifest.json").is_file()
+
     def test_without_out_nothing_is_written(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.run("constants") == 0

@@ -12,8 +12,12 @@ from neumannlab.constants import (
     ball_volume,
     constant_solution_kappa,
     make_params,
+    sphere_area,
 )
 from neumannlab.domain_grid import (
+    _GAUSS_BLOCK,
+    _LERP,
+    _cumulative_sin_power,
     AxiGrid,
     Field,
     build_grid,
@@ -124,6 +128,77 @@ class TestBuildGrid:
             grid64.mass[3, 3] = 1.0
         with pytest.raises(ValueError):
             grid64.r[0] = 0.5
+        for factor in grid64.radial + grid64.angular:
+            for band in factor:
+                with pytest.raises(ValueError):
+                    band[0] = 1.0
+
+
+class TestAxisFactors:
+    """The grid is the product of its axes: one 1-D rule, and per-axis
+    (main, off) bands whose outer products are the 2-D coefficients."""
+
+    def test_cell_rule_is_the_tensor_square(self):
+        g0, g1 = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
+        points = [(x, y) for x in (g0, g1) for y in (g0, g1)]
+        explicit = np.array([[(1 - x) * (1 - y), (1 - x) * y, x * (1 - y), x * y] for x, y in points])
+        assert np.array_equal(_GAUSS_BLOCK, np.kron(_LERP, _LERP))
+        assert np.array_equal(_GAUSS_BLOCK, explicit)
+        assert np.array_equal(_LERP.sum(axis=1), np.ones(2))
+
+    @pytest.mark.parametrize("N, stretch", [(5, 0.0), (5, 3.0), (7, 2.0)])
+    def test_coefficients_are_outer_products(self, N, stretch):
+        g = build_grid(N, 1.0, 40, 36, stretch=stretch)
+        (k_r, d_r3, m_r), (k_th, d_th, m_th) = g.radial, g.angular
+        assert np.array_equal(g.r_edge_coeff, np.outer(-k_r[1], d_th[0]))
+        assert np.array_equal(g.theta_edge_coeff, np.outer(d_r3[0], -k_th[1]))
+        assert np.all(d_r3[1] == 0.0) and np.all(d_th[1] == 0.0)
+
+        # each axis's 2-point weights written out: Gauss nodes x0 + x h,
+        # renormalized to the segment's exact measure
+        g0, g1 = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
+        hr, hth = np.diff(g.r), np.diff(g.theta)
+        jr = np.stack([(g.r[:-1] + x * hr) ** (N - 1) for x in (g0, g1)])
+        jth = np.stack([np.sin(g.theta[:-1] + y * hth) ** (N - 2) for y in (g0, g1)])
+        seg_r = sphere_area(N - 1) * np.diff(g.r**N) / N
+        seg_th = np.diff(_cumulative_sin_power(g.theta, N - 2))
+        wr = seg_r * jr / jr.sum(axis=0)
+        wth = seg_th * jth / jth.sum(axis=0)
+        for k, (x, y) in enumerate([(x, y) for x in (0, 1) for y in (0, 1)]):
+            np.testing.assert_allclose(g.gauss_w[k], np.outer(wr[x], wth[y]), rtol=1e-13)
+        # the consistent masses are the 1-D rule summed over the segments
+        for (main, off), w in ((m_r, wr), (m_th, wth)):
+            blocks = sum(np.outer(lam, lam)[:, :, None] * wk for lam, wk in zip(_LERP, w))
+            want = np.zeros_like(main)
+            want[:-1] += blocks[0, 0]
+            want[1:] += blocks[1, 1]
+            np.testing.assert_allclose(main, want, rtol=1e-13)
+            np.testing.assert_allclose(off, blocks[0, 1], rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "shape, stretch", [((32, 40), 0.0), ((96, 96), 3.0), ((128, 128), 4.0), ((256, 256), 4.0)]
+    )
+    def test_energy_operator_is_the_kronecker_form(self, shape, stretch):
+        g = build_grid(5, 1.0, *shape, stretch=stretch)
+        q = energy_operator(g, 1.3)
+        want = _kron_energy_operator(g, 1.3)
+        q.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(q.indptr, want.indptr)
+        assert np.array_equal(q.indices, want.indices)
+        assert np.abs(q.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+    def test_near_axis_bands_at_512(self):
+        # stretch 4 at 512^2 packs theta so tightly at the axis that
+        # D_theta falls below 1e-14; every band must stay finite, with
+        # the sign its matrix needs
+        g = build_grid(5, 1.0, 512, 512, stretch=4.0)
+        assert g.angular[1][0].min() < 1e-14
+        for stiffness, diagonal, mass in (g.radial, g.angular):
+            for main, _ in (stiffness, diagonal, mass):
+                assert np.all(np.isfinite(main)) and np.all(main > 0.0)
+            assert np.all(np.isfinite(stiffness[1])) and np.all(stiffness[1] < 0.0)
+            assert np.all(np.isfinite(mass[1])) and np.all(mass[1] > 0.0)
 
 
 class TestField:
@@ -204,6 +279,22 @@ def _sparse_energy_operator(grid, a):
         + gauss.T @ sparse.diags(a * grid.gauss_w.ravel()) @ gauss
     )
     return q.tocsr()
+
+
+def _tridiagonal_matrix(band):
+    main, off = band
+    return sparse.diags([off, main, off], [-1, 0, 1])
+
+
+def _kron_energy_operator(grid, a):
+    """Q as a sum of Kronecker products of the grid's 1-D factors."""
+    (k_r, d_r3, m_r), (k_th, d_th, m_th) = (
+        [_tridiagonal_matrix(band) for band in factor] for factor in (grid.radial, grid.angular)
+    )
+    q = sparse.kron(k_r, d_th) + sparse.kron(d_r3, k_th) + a * sparse.kron(m_r, m_th)
+    q = q.tocsr()
+    q.eliminate_zeros()
+    return q
 
 
 def _unit_derivatives(grid, values):
