@@ -151,13 +151,10 @@ def _read_config_file(path: str) -> dict:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" in body:
-            key, _, value = body.partition("=")
-        elif ":" in body:
-            key, _, value = body.partition(":")
-        else:
+        if "=" not in body:
             bad_lines.append(f"line {lineno}: {line.strip()!r}")
             continue
+        key, _, value = body.partition("=")
         raw[key.strip()] = value.strip()
     if bad_lines:
         raise ConfigurationError(

@@ -468,13 +468,14 @@ def save_field_snapshot(field: Field, csv_path, json_path) -> None:
             sort_keys=True,
         )
         fh.write("\n")
-    # one row per node, r major; CRLF rows as the csv module writes them
-    rows = np.column_stack(
-        [np.repeat(g.r, g.n_theta), np.tile(g.theta, g.n_r), field.values.ravel()]
-    )
+    # one row per node, r major; CRLF rows as the csv module writes them.
+    # Each axis coordinate is formatted once, not once per row it heads
+    th_txt = ["%.17g," % th for th in g.theta.tolist()]
     with open(csv_path, "w", newline="") as fh:
         fh.write("r,theta,value\r\n")
-        fh.write(("%.17g,%.17g,%.17g\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        for r, row in zip(g.r.tolist(), field.values.tolist()):
+            r_txt = "%.17g," % r
+            fh.write("".join([r_txt + t + "%.17g\r\n" % v for t, v in zip(th_txt, row)]))
 
 
 def load_field_snapshot(csv_path, json_path) -> Field:

@@ -24,8 +24,12 @@ rule on the projected path, f(trial) <= f + c g . (trial - u), with a
 decrease beyond the level's rounding, and the step is halved
 otherwise.  Pairs with s.y <= 0 are dropped.  When the
 line search fails the history is cleared and the search retried along
-z; a second failure stops the descent.  Each accepted iterate is
-rescaled to critical mass 1 to pin the scale direction.
+z; a second failure stops the descent.  Each point visited, the start
+and every trial, costs one kernel pass: gradient_I gives its triple, so
+its level, with its gradient.  Only an accepted trial is rescaled to
+critical mass 1, pinning the scale direction; I has degree 0, so its
+triple and gradient follow by homogeneity and the step adds only the
+Q^{-1} solve.
 
 A run is one continuation: one factorization of Q and one worker pool
 serve all its solves at fixed alpha, and each solve reads its
@@ -189,15 +193,15 @@ def _envelope_prefactor(tr: NormTriple) -> float:
     return 2.0 * (tr.N * psi_from_projection(tr)) ** ((2.0 - tr.N) / tr.N)
 
 
-def gradient_I(field: Field, params) -> Field:
-    """Nodal derivative of I via the envelope theorem.
+def gradient_I(field: Field, params) -> tuple[NormTriple, Field]:
+    """The field's triple and the nodal derivative of I, from one pass.
 
     I = (N Psi)^{2/N} with Psi evaluated at the manifold projection t(u)u;
     the inner t is stationary, so only the explicit dependence on the
     triple differentiates.
     """
     rep, _, d_psi = _first_variation(field, params)
-    return Field(field.grid, _envelope_prefactor(rep.triple) * d_psi)
+    return rep.triple, Field(field.grid, _envelope_prefactor(rep.triple) * d_psi)
 
 
 def _energy_solver(grid: AxiGrid, a: float):
@@ -245,18 +249,18 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     grid = start.grid
     ts = float(params.exponents.two_star)
 
-    def pinned(values, tr):
-        # u / c^(1/ts) has |u|_{2*} = 1, and its triple follows from tr by
-        # homogeneity, with no further pass
+    def pinned(values, tr, garr):
+        # u / m, m = c^(1/ts), has |u|_{2*} = 1; its triple follows from tr
+        # by homogeneity and, I having degree 0, its gradient is m grad I(u),
+        # with no further pass
         m = tr.c ** (1.0 / ts)
-        return Field(grid, values / m), tr.scaled(1.0 / m)
+        return Field(grid, values / m), tr.scaled(1.0 / m), m * garr
 
-    def riesz(u, k):
-        garr = gradient_I(u, params).values
+    def riesz(garr, k):
         zarr = solve_q(garr)
         if not np.all(np.isfinite(zarr)):
             raise NumericalFailure(f"descent direction is not finite at iteration {k}")
-        return garr, zarr
+        return zarr
 
     def line_search(u, f, garr, direction, k):
         s = INITIAL_STEP
@@ -271,21 +275,21 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
                 continue
             # the level is scaling-invariant, so judge the raw trial and
             # only rescale to |u|_{2*} = 1 once it is accepted
-            trep = norms(Field(grid, trial_vals), params)
-            f_try = big_I(trep.triple)
+            ttr, tg = gradient_I(Field(grid, trial_vals), params)
+            f_try = big_I(ttr)
             if f_try <= min(f + SUFFICIENT_DECREASE * slope, f - LEVEL_RTOL * f):
-                return pinned(trial_vals, trep.triple), f_try
+                return pinned(trial_vals, ttr, tg.values), f_try
         return None
 
-    # the level is scaling-invariant, so one pass over the clipped start
-    # gives both its level and the scale that pins |u|_{2*} = 1
+    # one pass over the clipped start gives its level, its gradient and
+    # the scale that pins |u|_{2*} = 1
     clipped = np.maximum(start.values, 0.0)
-    tr = norms(Field(grid, clipped), params).triple
+    tr, g = gradient_I(Field(grid, clipped), params)
     f = f_start = big_I(tr)
-    u, tr = pinned(clipped, tr)
+    u, tr, garr = pinned(clipped, tr, g.values)
+    zarr = riesz(garr, 1)
     history = deque(maxlen=HISTORY)
     iters = 0
-    garr, zarr = riesz(u, 1)
     while True:
         gnorm = _dual_norm(garr, zarr)
         if gnorm <= config.grad_tol:
@@ -304,9 +308,9 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
         if found is None:
             reason = "line_search"
             break
-        (u_new, tr_new), f = found
+        (u_new, tr_new, g_new), f = found
         iters += 1
-        g_new, z_new = riesz(u_new, iters + 1)
+        z_new = riesz(g_new, iters + 1)
         s, y = u_new.values - u.values, g_new - garr
         sy = float(np.vdot(s, y))
         if sy > 0.0:

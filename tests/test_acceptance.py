@@ -191,7 +191,7 @@ def test_criterion_6_gradient_correctness():
         p = make_params(5, 1.0, float(rng.uniform(0.0, 3.0)))
         u = (0.5 + rng.random((48, 48))) * 10.0 ** rng.uniform(-1, 1)
         field = Field(grid, u)
-        g = gradient_I(field, p).values
+        g = gradient_I(field, p)[1].values
         h = 1e-5 * float(np.sqrt(np.mean(u**2)))
         for di in range(10):
             d = rng.standard_normal((48, 48))
@@ -294,7 +294,7 @@ def test_criterion_8_constant_solution_checks():
         rep = norms(f, p)
         phi_grid = rep.triple.a_bar / 2.0 + rep.triple.b / tt - rep.triple.c / ts
         assert phi_grid == pytest.approx(constant_solution_energy(p, vol), rel=1e-8)
-        g = gradient_I(f, p).values
+        g = gradient_I(f, p)[1].values
         solve = _energy_solver(grid, p.a)
         dual = float(np.sqrt(max(np.sum(g * solve(g)), 0.0)))
         assert dual <= 10.0 * default_tol

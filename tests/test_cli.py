@@ -116,6 +116,25 @@ class TestOutputDirectory:
         assert cli.run("constants", overrides={"N": "5"}, output_dir=str(out)) == 0
         assert (out / "manifest.json").is_file()
 
+    def test_out_below_unwritable_directory(self, tmp_path, capsys, monkeypatch):
+        # the nearest existing ancestor of --out exists but may not be
+        # written: exit 2 before the handler runs, naming that ancestor
+        def handler(cfg, ctx):
+            raise AssertionError("the handler ran")
+
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: False if path == str(locked) else real(path, mode)
+        )
+        monkeypatch.setitem(cli.HANDLERS, "constants", handler)
+        out = locked / "new" / "run"
+        assert cli.run("constants", overrides={"N": "5"}, output_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and f"{locked} is not a writable directory" in err
+        assert os.listdir(locked) == []
+
     def test_without_out_nothing_is_written(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.run("constants") == 0
@@ -170,12 +189,22 @@ class TestConfigRejection:
         assert cli.run("minimize", config_path=cfg) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_comments_and_colons_accepted(self, tmp_path, capsys):
+    def test_comments_accepted(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path / "c.cfg",
-            "# full-line comment\nN: 5\n\nR = 1.0  # trailing comment\n",
+            "# full-line comment\nN = 5\n\nR = 1.0  # trailing comment\n",
         )
         assert cli.run("constants", config_path=cfg) == 0
+
+    def test_colon_line_is_malformed(self, tmp_path, capsys):
+        # the format is key = value only; a key: value line is not a
+        # second syntax, and the run writes nothing
+        cfg = write_cfg(tmp_path / "c.cfg", "N = 5\nn_r: 32\n")
+        out = tmp_path / "run"
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert "malformed config lines" in err and "line 2" in err and "n_r: 32" in err
+        assert not out.exists()
 
     def test_missing_file(self, capsys):
         assert cli.run("constants", config_path="/no/such/file.cfg") == 2

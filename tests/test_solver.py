@@ -128,23 +128,43 @@ class TestKernelPasses:
                 np, name, lambda *a, real=real, name=name, **k: log.append(name) or real(*a, **k)
             )
         values = interpolate_instanton(grid48, InstantonParams(0.3)).values
-        got = gradient_I(Field(grid48, values), p).values
+        got = gradient_I(Field(grid48, values), p)[1].values
         assert log == ["cbrt"]
         log.clear()
         norms(Field(grid48, values), p)
         assert log == ["cbrt"]
         monkeypatch.undo()
-        assert np.array_equal(got, gradient_I(Field(grid48, values), p).values)
+        assert np.array_equal(got, gradient_I(Field(grid48, values), p)[1].values)
 
     def test_descent_start_is_one_pass(self, grid48, monkeypatch):
-        # the clipped start's level and scale come from one pass, ahead of
-        # the first gradient
+        # every descent pass is a derivative pass, one per evaluated point:
+        # the clipped start and each line-search trial go through gradient_I
+        # once, and an accepted trial's gradient is rescaled, not recomputed
         p = make_params(5, 1.0, 2.0)
         f = interpolate_instanton(grid48, InstantonParams(0.3))
         solve = _energy_solver(grid48, p.a)
+        points = []
+        real = solver.gradient_I
+        monkeypatch.setattr(
+            solver, "gradient_I", lambda field, params: points.append(field) or real(field, params)
+        )
         calls = count_kernel_passes(monkeypatch)
-        _descend(f, p, quick_config(max_iters=1), solve)
-        assert calls[: calls.index(True)] == [False]
+        out = _descend(f, p, quick_config(max_iters=5), solve)
+        assert out.iterations == 5
+        assert len(points) > out.iterations
+        assert calls == [True] * len(points)
+
+    def test_descent_makes_no_norms_pass(self, grid48, monkeypatch):
+        p = make_params(5, 1.0, 2.0)
+        f = interpolate_instanton(grid48, InstantonParams(0.3))
+        solve = _energy_solver(grid48, p.a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the descent called norms")
+
+        monkeypatch.setattr(solver, "norms", refuse)
+        out = _descend(f, p, quick_config(max_iters=5), solve)
+        assert out.iterations == 5
 
 
 class TestDescentBlowup:
@@ -179,7 +199,7 @@ class TestLBFGSDirection:
             s = rng.standard_normal(shape)
             y = (curvature @ s.ravel()).reshape(shape)
             history.append((s, y, solve(y), 1.0 / float(np.sum(s * y))))
-        garr = gradient_I(Field(g32, 0.5 + rng.random(shape)), p).values
+        garr = gradient_I(Field(g32, 0.5 + rng.random(shape)), p)[1].values
         got = _lbfgs_direction(garr, solve(garr), history)
 
         s, y, dz, _ = history[-1]
@@ -194,7 +214,7 @@ class TestLBFGSDirection:
 
     def test_empty_history_is_riesz_gradient(self, grid48):
         p = make_params(5, 1.0, 2.0)
-        garr = gradient_I(interpolate_instanton(grid48, InstantonParams(0.3)), p).values
+        garr = gradient_I(interpolate_instanton(grid48, InstantonParams(0.3)), p)[1].values
         zarr = _energy_solver(grid48, p.a)(garr)
         assert np.array_equal(_lbfgs_direction(garr, zarr, []), zarr)
 
@@ -259,16 +279,16 @@ class TestStarts:
         assert rec.level == res.start_values[0]
 
     def test_start_level_is_one_pass(self, grid48, monkeypatch):
-        # the constant converges at once: its start pass doubles as its
-        # start value and gives the winner's triple, then one gradient,
-        # whose dual norm is also the residual
+        # the constant converges at once: its one start pass gives its
+        # start value, the winner's triple and the gradient, whose dual
+        # norm is also the residual
         p = make_params(5, 1.0, 0.0)
         starts = [Field.constant(grid48, 1.0)]
         solve = _energy_solver(grid48, p.a)
         want = evaluate_I(starts[0], p)
         calls = count_kernel_passes(monkeypatch)
         res = _minimize_over_starts(p, quick_config(), grid48, starts, SERIAL, solve)
-        assert calls == [False, True]
+        assert calls == [True]
         assert res.start_values == (want,)
 
     def test_winner_triple_is_the_descents(self, grid48, monkeypatch):
@@ -346,7 +366,7 @@ class TestGradientI:
         for _ in range(3):
             u = 0.6 + 0.3 * rng.random((48, 48))
             f = Field(grid48, u)
-            ga = gradient_I(f, p).values
+            ga = gradient_I(f, p)[1].values
             base_scale = float(np.sqrt(np.mean(u**2)))
             h = 1e-5 * base_scale
             for _ in range(5):
@@ -357,12 +377,29 @@ class TestGradientI:
                 an = float(np.sum(ga * d))
                 assert an == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
+    def test_rescaled_field_gradient(self, grid48):
+        # I has degree 0, so grad I(u / m) = m grad I(u): the descent pins
+        # an accepted trial by this identity instead of a second pass
+        p = make_params(5, 1.0, 1.2)
+        rng = np.random.default_rng(9)
+        u = 0.5 + rng.random((48, 48))
+        for m in (0.37, 2.9, 41.0):
+            want = gradient_I(Field(grid48, u / m), p)[1].values
+            got = m * gradient_I(Field(grid48, u), p)[1].values
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_returns_the_triple(self, grid48):
+        p = make_params(5, 1.0, 1.2)
+        f = interpolate_instanton(grid48, InstantonParams(0.3))
+        tr, _ = gradient_I(f, p)
+        assert tr == norms(f, p).triple
+
     def test_homogeneity_direction_annihilated(self, grid48):
         # I is degree-0 homogeneous, so the derivative along u vanishes
         p = make_params(5, 1.0, 1.2)
         rng = np.random.default_rng(8)
         u = 0.5 + rng.random((48, 48))
-        ga = gradient_I(Field(grid48, u), p).values
+        ga = gradient_I(Field(grid48, u), p)[1].values
         scale = float(np.sqrt(np.sum(ga**2) * np.sum(u**2)))
         assert abs(float(np.sum(ga * u))) <= 1e-10 * max(scale, 1.0)
 
@@ -370,7 +407,7 @@ class TestGradientI:
         p = make_params(5, 1.0, 0.9)
         kap = constant_solution_kappa(p)
         f = Field.constant(grid48, kap)
-        ga = gradient_I(f, p).values
+        ga = gradient_I(f, p)[1].values
         solve = _energy_solver(grid48, p.a)
         dual = float(np.sqrt(max(np.sum(ga * solve(ga)), 0.0)))
         assert dual <= 10.0 * 1e-6
@@ -571,7 +608,7 @@ class TestEulerLagrange:
         rng = np.random.default_rng(3)
         f = Field(grid48, 0.5 + rng.random((48, 48)))
         solve = _energy_solver(grid48, p.a)
-        g = gradient_I(f, p).values
+        g = gradient_I(f, p)[1].values
         tr = norms(f, p).triple
         pref = 2.0 * (5.0 * psi_from_projection(tr)) ** (-3.0 / 5.0)
         want = np.sqrt(np.sum(g * solve(g))) / (pref * project_t(tr))
