@@ -28,13 +28,20 @@ above ``grad_tol``.
 
 from __future__ import annotations
 
+import os
+
+# The Q^{-1} solves are dense BLAS products, and each --threads worker
+# would otherwise start BLAS threads of its own on the same cores.  Set
+# before numpy loads its BLAS; a value the caller exported wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import csv
 import dataclasses
 import io
 import json
 import math
-import os
 import sys
 import time
 import traceback

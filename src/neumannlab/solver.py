@@ -31,9 +31,18 @@ critical mass 1, pinning the scale direction; I has degree 0, so its
 triple and gradient follow by homogeneity and the step adds only the
 Q^{-1} solve.
 
-A run is one continuation: one factorization of Q and one worker pool
-serve all its solves at fixed alpha, and each solve reads its
-Euler-Lagrange residual from the winning descent's final dual norm.
+Q^{-1} is solved exactly, with no factorization: conjugate gradients on
+Q, preconditioned with the inverse of its separable neighbour
+P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta, which lumps the angular
+mass of the a-term.  Each axis's pencil is one symmetric tridiagonal
+eigenproblem, so P^{-1} is four dense products (fast diagonalization:
+Lynch, Rice & Thomas 1964; Deville, Fischer & Mund 2002).  The spectrum
+of P^{-1} Q hugs 1, so a solve takes three or four iterations to the
+accuracy of a sparse LU.
+
+A run is one continuation: one such solver and one worker pool serve
+all its solves at fixed alpha, and each solve reads its Euler-Lagrange
+residual from the winning descent's final dual norm.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
@@ -71,6 +81,14 @@ HISTORY = 5
 # starts whose final levels agree to this relative tolerance tie, and
 # the earliest listed one wins
 TIE_RTOL = 1e-12
+# A Q^{-1} solve stops once its residual's P^{-1}-norm is CG_RTOL of the
+# right-hand side's, the accuracy of a sparse LU.  That bounds the Q-norm
+# error only while P^{-1} Q stays spectrally close to 1, so the Ritz
+# values of the iteration must lie in CG_SPECTRUM; then CG_MAX_ITERS
+# iterations suffice, and a solve outside either bound raises
+CG_RTOL = 1e-11
+CG_SPECTRUM = (0.5, 2.0)
+CG_MAX_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -204,14 +222,92 @@ def gradient_I(field: Field, params) -> tuple[NormTriple, Field]:
     return rep.triple, Field(field.grid, _envelope_prefactor(rep.triple) * d_psi)
 
 
+def _axis_eigenpairs(main, off, measure):
+    """Eigenvalues and measure-orthonormal eigenvectors of one axis's
+    pencil (A, D): A the symmetric tridiagonal (main, off), D the
+    diagonal ``measure``, through the D^{-1/2}-scaled tridiagonal."""
+    s = 1.0 / np.sqrt(measure)
+    lam, vecs = eigh_tridiagonal(main * s * s, off * s[:-1] * s[1:])
+    return lam, s[:, None] * vecs
+
+
+def _separable_inverse(grid: AxiGrid, a: float):
+    """P^{-1} for P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta.
+
+    With (K_r + a M_r) V = D_r3 V diag(lam) and K_theta W = D_theta W
+    diag(mu), both bases orthonormal in their measures,
+    P^{-1} X = V [(V^T X W) / (lam_i + mu_j)] W^T.
+    """
+    (k_r, d_r3, m_r), (k_th, d_th, _) = grid.radial, grid.angular
+    lam, v = _axis_eigenpairs(k_r[0] + a * m_r[0], k_r[1] + a * m_r[1], d_r3[0])
+    mu, w = _axis_eigenpairs(k_th[0], k_th[1], d_th[0])
+    denom = lam[:, None] + mu
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return v @ ((v.T @ x @ w) / denom) @ w.T
+
+    return apply
+
+
+def _ritz_range(alphas, betas):
+    """Extreme eigenvalues of the Lanczos matrix that CG's step lengths
+    and direction weights define, the Ritz values of P^{-1} Q on the
+    space searched; NaN unless every coefficient is positive."""
+    a, b = np.array(alphas), np.array(betas)
+    if not (np.all(a > 0) and np.all(b > 0) and np.all(np.isfinite(b))):
+        return math.nan, math.nan
+    diag = 1.0 / a
+    diag[1:] += b[:-1] / a[:-1]
+    ritz = eigvalsh_tridiagonal(diag, np.sqrt(b[:-1]) / a[:-1])
+    return float(ritz[0]), float(ritz[-1])
+
+
 def _energy_solver(grid: AxiGrid, a: float):
-    """Factorized action of Q^{-1} for the descent metric."""
-    # Q is symmetric, so a minimum-degree ordering of Q^T + Q keeps the
-    # LU factors sparser than the default column ordering
-    lu = splu(energy_operator(grid, a).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    """Exact action of Q^{-1} for the descent metric: conjugate gradients
+    on Q, preconditioned with the separable P^{-1}.
+
+    Raises NumericalFailure when a solve does not reach CG_RTOL within
+    CG_MAX_ITERS iterations, or when its Ritz values leave CG_SPECTRUM,
+    where the P^{-1}-norm of the residual no longer measures the error.
+    """
+    q = energy_operator(grid, a)
+    p_inv = _separable_inverse(grid, a)
+    shape = (grid.n_r, grid.n_theta)
 
     def solve(arr: np.ndarray) -> np.ndarray:
-        return lu.solve(arr.ravel()).reshape(arr.shape)
+        b = arr.reshape(shape)
+        x = np.zeros(shape)
+        if not b.any():
+            return x.reshape(arr.shape)
+        r = b.copy()
+        z = p_inv(r)
+        rz = rz0 = float(np.vdot(r, z))
+        p = z
+        alphas, betas = [], []
+        while rz > CG_RTOL**2 * rz0:
+            if len(alphas) == CG_MAX_ITERS:
+                raise NumericalFailure(
+                    f"Q^{{-1}} solve did not reach {CG_RTOL:g} in {CG_MAX_ITERS} CG iterations"
+                )
+            qp = (q @ p.ravel()).reshape(shape)
+            alpha = rz / float(np.vdot(p, qp))
+            x += alpha * p
+            r -= alpha * qp
+            z = p_inv(r)
+            rz_next = float(np.vdot(r, z))
+            beta, rz = rz_next / rz, rz_next
+            p = z + beta * p
+            alphas.append(alpha)
+            betas.append(beta)
+        # no iteration means b . P^{-1} b was not positive
+        lo, hi = _ritz_range(alphas, betas) if alphas else (math.nan, math.nan)
+        if not CG_SPECTRUM[0] <= lo <= hi <= CG_SPECTRUM[1]:
+            raise NumericalFailure(
+                f"Q^{{-1}} solve: Ritz values of P^{{-1}} Q span [{lo:.3g}, {hi:.3g}] "
+                f"(nan: not positive definite), not inside {list(CG_SPECTRUM)}; "
+                "the grid's stretch defeats the preconditioner"
+            )
+        return x.reshape(arr.shape)
 
     return solve
 
@@ -332,7 +428,9 @@ def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
     _, t, d_psi = _first_variation(field, params)
     res = d_psi / t
     if solve_q is None:
-        solve_q = _energy_solver(field.grid, params.a)
+        # a direct solve, independent of the descent's iterative one
+        lu = splu(energy_operator(field.grid, params.a).tocsc())
+        return _dual_norm(res, lu.solve(res.ravel()).reshape(res.shape))
     return _dual_norm(res, solve_q(res))
 
 
@@ -445,8 +543,8 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, po
 
 @contextmanager
 def _continuation(base_params, config: SolveConfig, grid: AxiGrid, threads: int, restarts=()):
-    """Yield solve(alpha, warm=None) for one run: one factorization of Q
-    and one pool of ``threads`` workers serve every solve.  A cold solve
+    """Yield solve(alpha, warm=None) for one run: one Q^{-1} solver and
+    one pool of ``threads`` workers serve every solve.  A cold solve
     starts from default_starts, a warm one from [warm, constant, *restarts]."""
     solve_q = _energy_solver(grid, base_params.a)
     constant = Field.constant(grid, 1.0)

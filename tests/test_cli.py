@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +353,16 @@ class TestMinimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "not finite" in manifest["failure"]
 
+    def test_unconverged_q_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the identity is no preconditioner for Q, so CG hits its cap
+        monkeypatch.setattr(solver, "_separable_inverse", lambda grid, a: lambda x: x.copy())
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 2.0\n")
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "CG iterations" in manifest["failure"]
+        assert "accuracy failure" in capsys.readouterr().err
+
     def test_internal_error_exits_1_with_manifest(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("kernel exploded")
@@ -614,6 +627,18 @@ class TestThreads:
         r1 = json.loads((o1 / "result.json").read_text())
         r2 = json.loads((o2 / "result.json").read_text())
         assert r1["S_alpha_est"] == r2["S_alpha_est"]
+
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+    def test_cli_pins_blas_threads(self, preset, want):
+        # a fresh process, since numpy has loaded its BLAS in this one
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        read = "import os, neumannlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", read], env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.split() == [want, "1"]
 
 
 class TestArgumentParser:

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from neumannlab.constants import (
     I_alpha_of_one,
@@ -35,9 +37,12 @@ from neumannlab.solver import (
     Descent,
     SolveConfig,
     _descend,
+    CG_RTOL,
     _energy_solver,
     _lbfgs_direction,
     _minimize_over_starts,
+    _ritz_range,
+    _separable_inverse,
     estimate_alpha0,
     euler_lagrange_residual,
     evaluate_I,
@@ -543,8 +548,98 @@ class TestContinuation:
         # or not
         p = make_params(5, 1.0, 2.0)
         res = minimize(p, quick_config(max_iters=3), grid48)
-        want = euler_lagrange_residual(res.minimizer, p, _energy_solver(grid48, p.a))
+        want = euler_lagrange_residual(res.minimizer, p)
         assert res.el_residual == pytest.approx(want, rel=1e-10)
+
+
+def _q_norm(q, v):
+    v = v.ravel()
+    return float(np.sqrt(v @ (q @ v)))
+
+
+class TestEnergySolver:
+    """_energy_solver is an exact Q^{-1}: CG preconditioned with the
+    separable P^{-1}, to the accuracy of a direct solve, or a raise."""
+
+    @pytest.mark.parametrize(
+        "N, shape, stretch, a",
+        [
+            (5, (32, 40), 0.0, 1.0),
+            (5, (64, 64), 4.0, 8.0),
+            (5, (128, 128), 4.0, 1.0),
+            (5, (256, 256), 8.0, 1.0),
+            (7, (40, 36), 2.0, 1.0),
+        ],
+    )
+    def test_matches_direct_solve(self, N, shape, stretch, a):
+        g = build_grid(N, 1.0, *shape, stretch=stretch)
+        q = energy_operator(g, a)
+        b = np.random.default_rng(5).standard_normal(shape)
+        want = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
+        got = _energy_solver(g, a)(b)
+        assert got.shape == b.shape
+        assert _q_norm(q, got - want) <= 1e-10 * _q_norm(q, want)
+
+    def test_matches_manufactured_solution_at_512(self):
+        # min D_theta is 7e-16 here, so the scaling D^{-1/2} reaches 4e7;
+        # a manufactured solution stands in for a direct solve of this size
+        g = build_grid(5, 1.0, 512, 512, stretch=4.0)
+        assert g.angular[1][0].min() < 1e-15
+        q = energy_operator(g, 1.0)
+        x = np.random.default_rng(6).standard_normal((512, 512))
+        got = _energy_solver(g, 1.0)((q @ x.ravel()).reshape(x.shape))
+        assert _q_norm(q, got - x) <= 1e-10 * _q_norm(q, x)
+
+    def test_preconditioner_inverts_the_separable_operator(self):
+        g = build_grid(5, 1.0, 32, 40, stretch=3.0)
+        (k_r, d_r3, m_r), (k_th, d_th, _) = g.radial, g.angular
+
+        def band(main_off):
+            main, off = main_off
+            return sparse.diags([off, main, off], [-1, 0, 1])
+
+        p_mat = sparse.kron(band(k_r) + 1.5 * band(m_r), band(d_th)) + sparse.kron(
+            band(d_r3), band(k_th)
+        )
+        y = np.random.default_rng(7).standard_normal((32, 40))
+        want = splu(p_mat.tocsc()).solve(y.ravel()).reshape(y.shape)
+        got = _separable_inverse(g, 1.5)(y)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+    def test_ritz_values_of_a_diagonal_system(self):
+        # unpreconditioned CG on diag(1, 2, 3) from b = 1 spans the whole
+        # space in three steps, so its Ritz values are the eigenvalues
+        d, r = np.array([1.0, 2.0, 3.0]), np.ones(3)
+        p, rz, alphas, betas = r.copy(), 3.0, [], []
+        for _ in range(3):
+            alpha = rz / float(p @ (d * p))
+            r = r - alpha * d * p
+            beta = float(r @ r) / rz
+            p, rz = r + beta * p, float(r @ r)
+            alphas.append(alpha)
+            betas.append(beta)
+        assert _ritz_range(alphas, betas) == pytest.approx((1.0, 3.0), rel=1e-12)
+        assert np.isnan(_ritz_range([1.0, -1.0], [0.5, 0.1])[0])
+
+    def test_zero_right_hand_side(self, grid48):
+        assert not _energy_solver(grid48, 1.0)(np.zeros((48, 48))).any()
+
+    @pytest.mark.parametrize("shape, stretch", [((96, 96), 35.5), ((32, 32), 20.0), ((32, 32), 30.0), ((32, 32), 36.0)])
+    def test_extreme_stretch_meets_tolerance_or_raises(self, shape, stretch):
+        # stretches build_grid accepts but whose near-axis measures defeat
+        # the preconditioner: a solve is as accurate as a direct one, or
+        # it raises, never a quiet wrong answer
+        g = build_grid(5, 1.0, *shape, stretch=stretch)
+        q = energy_operator(g, 1.0)
+        x = np.random.default_rng(8).standard_normal(shape)
+        b = (q @ x.ravel()).reshape(shape)
+        direct = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
+        try:
+            got = _energy_solver(g, 1.0)(b)
+        except NumericalFailure:
+            return
+        floor = max(_q_norm(q, direct - x), CG_RTOL * _q_norm(q, x))
+        assert _q_norm(q, got - x) <= 10.0 * floor
 
 
 class TestFitInstanton:
