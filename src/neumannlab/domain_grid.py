@@ -4,12 +4,13 @@ Fields live on a polar (r, theta) grid, symmetric about the axis through
 the north-pole boundary point.  Node masses are control-volume exact:
 each node owns the cell between the midpoints to its neighbors, and the
 cell masses int r^{N-1} dr and int sin^{N-2}(theta) dtheta are
-evaluated in closed form (power rule and incomplete beta function), so
-the masses sum to the exact ball volume at machine precision.  They are
-strictly positive; ``volume`` sums them, and the solver measures the
-length of a descent trial's move in them to detect a step that
-overflows.  The descent direction and its line search come from the
-energy operator and the power masses below.
+evaluated in closed form (power rule and incomplete beta function, each
+angular piece from its nearer pole, so the tiny cells at either pole
+keep relative precision), and the masses sum to the exact ball volume
+at machine precision.  They are strictly positive; ``volume`` sums
+them, and the solver measures the length of a descent trial's move in
+them to detect a step that overflows.  The descent direction and its
+line search come from the energy operator and the power masses below.
 
 The grid is the product of its two axes, and so is everything built on
 it.  The Jacobian r^{N-1} sin^{N-2}(theta) is a product, so each axis
@@ -76,16 +77,22 @@ def _stretched_unit_nodes(n: int, strength: float, toward_end: bool) -> np.ndarr
     return 1.0 - mapped[::-1] if toward_end else mapped
 
 
-def _cumulative_sin_power(phi: np.ndarray, m: int) -> np.ndarray:
-    """int_0^phi sin^m(t) dt, exact via the regularized incomplete beta."""
+def _sin_power_segments(phi: np.ndarray, m: int) -> np.ndarray:
+    """int sin^m(t) dt over each segment [phi_k, phi_k+1] of ascending
+    nodes in [0, pi], exact via the regularized incomplete beta.
+
+    Each part of a segment is integrated from its nearer pole, the part
+    below pi/2 from 0 and the part above from pi, so the small measures
+    next to either pole keep relative precision.
+    """
     a = (m + 1) / 2.0
-    b = 0.5
-    scale = 0.5 * beta_fn(a, b)
+    scale = 0.5 * beta_fn(a, 0.5)
     phi = np.asarray(phi, dtype=float)
-    s2 = np.sin(np.minimum(phi, 0.5 * np.pi)) ** 2
-    lower = scale * betainc(a, b, s2)
-    upper = 2.0 * scale - scale * betainc(a, b, np.sin(np.pi - phi) ** 2)
-    return np.where(phi <= 0.5 * np.pi, lower, upper)
+    half = 0.5 * np.pi
+    # int_0^min(phi, pi/2) and int_max(phi, pi/2)^pi
+    north = scale * betainc(a, 0.5, np.sin(np.minimum(phi, half)) ** 2)
+    south = scale * betainc(a, 0.5, np.sin(np.pi - np.maximum(phi, half)) ** 2)
+    return np.diff(north) - np.diff(south)
 
 
 # A cell's corners (i, j), (i, j+1), (i+1, j), (i+1, j+1) as slices of a
@@ -262,8 +269,8 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     r3_cells = area * (r_edges[1:] ** (N - 2) - r_edges[:-1] ** (N - 2)) / (N - 2)
     r_segments = area * (r[1:] ** N - r[:-1] ** N) / N
     th_edges = np.concatenate(([0.0], 0.5 * (theta[1:] + theta[:-1]), [np.pi]))
-    th_cells = np.diff(_cumulative_sin_power(th_edges, N - 2))
-    th_segments = np.diff(_cumulative_sin_power(theta, N - 2))
+    th_cells = _sin_power_segments(th_edges, N - 2)
+    th_segments = _sin_power_segments(theta, N - 2)
 
     # edge coefficients for the edge-midpoint gradient energy, and the
     # 2-point Gauss rule on each segment for the interpolant masses, its

@@ -17,7 +17,7 @@ from neumannlab.constants import (
 from neumannlab.domain_grid import (
     _GAUSS_BLOCK,
     _LERP,
-    _cumulative_sin_power,
+    _sin_power_segments,
     AxiGrid,
     Field,
     build_grid,
@@ -161,7 +161,7 @@ class TestAxisFactors:
         jr = np.stack([(g.r[:-1] + x * hr) ** (N - 1) for x in (g0, g1)])
         jth = np.stack([np.sin(g.theta[:-1] + y * hth) ** (N - 2) for y in (g0, g1)])
         seg_r = sphere_area(N - 1) * np.diff(g.r**N) / N
-        seg_th = np.diff(_cumulative_sin_power(g.theta, N - 2))
+        seg_th = _sin_power_segments(g.theta, N - 2)
         wr = seg_r * jr / jr.sum(axis=0)
         wth = seg_th * jth / jth.sum(axis=0)
         for k, (x, y) in enumerate([(x, y) for x in (0, 1) for y in (0, 1)]):
@@ -199,6 +199,31 @@ class TestAxisFactors:
                 assert np.all(np.isfinite(main)) and np.all(main > 0.0)
             assert np.all(np.isfinite(stiffness[1])) and np.all(stiffness[1] < 0.0)
             assert np.all(np.isfinite(mass[1])) and np.all(mass[1] > 0.0)
+
+
+def _gauss_legendre_sin_power(lo, hi, m, points=64):
+    """int_lo^hi sin^m per interval, by a Gauss-Legendre rule exact here
+    to rounding."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return half * (w * np.sin(mid[:, None] + half[:, None] * x) ** m).sum(axis=1)
+
+
+class TestAngularMeasures:
+    """Every angular measure keeps relative precision, also the tiny ones
+    next to either pole."""
+
+    @pytest.mark.parametrize("N, shape, stretch", [(7, (40, 36), 2.0), (5, (64, 64), 4.0), (5, (48, 47), 0.0)])
+    def test_cells_and_segments_match_quadrature(self, N, shape, stretch):
+        g = build_grid(N, 1.0, *shape, stretch=stretch)
+        th = g.theta
+        edges = np.concatenate(([0.0], 0.5 * (th[1:] + th[:-1]), [np.pi]))
+        np.testing.assert_allclose(g.angular[1][0], _gauss_legendre_sin_power(edges[:-1], edges[1:], N - 2), rtol=1e-13)
+        # each segment's Gauss weights sum to its measure times the radial
+        # total, int_0^R r^{N-1} times the sphere area
+        radial = sphere_area(N - 1) * g.R**N / N
+        segments = g.gauss_w.sum(axis=(0, 1)) / radial
+        np.testing.assert_allclose(segments, _gauss_legendre_sin_power(th[:-1], th[1:], N - 2), rtol=1e-13)
 
 
 class TestField:
