@@ -56,7 +56,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
@@ -256,9 +256,10 @@ def _ritz_range(alphas, betas):
     a, b = np.array(alphas), np.array(betas)
     if not (np.all(a > 0) and np.all(b > 0) and np.all(np.isfinite(b))):
         return math.nan, math.nan
-    diag = 1.0 / a
-    diag[1:] += b[:-1] / a[:-1]
-    ritz = eigvalsh_tridiagonal(diag, np.sqrt(b[:-1]) / a[:-1])
+    off = np.sqrt(b[:-1]) / a[:-1]
+    lanczos = np.diag(1.0 / a) + np.diag(off, 1) + np.diag(off, -1)
+    lanczos[1:, 1:] += np.diag(b[:-1] / a[:-1])
+    ritz = np.linalg.eigvalsh(lanczos)
     return float(ritz[0]), float(ritz[-1])
 
 
@@ -296,16 +297,17 @@ def _energy_solver(grid: AxiGrid, a: float):
             z = p_inv(r)
             rz_next = float(np.vdot(r, z))
             beta, rz = rz_next / rz, rz_next
-            p = z + beta * p
+            p *= beta
+            p += z
             alphas.append(alpha)
             betas.append(beta)
         # no iteration means b . P^{-1} b was not positive
         lo, hi = _ritz_range(alphas, betas) if alphas else (math.nan, math.nan)
         if not CG_SPECTRUM[0] <= lo <= hi <= CG_SPECTRUM[1]:
             raise NumericalFailure(
-                f"Q^{{-1}} solve: Ritz values of P^{{-1}} Q span [{lo:.3g}, {hi:.3g}] "
-                f"(nan: not positive definite), not inside {list(CG_SPECTRUM)}; "
-                "the grid's stretch defeats the preconditioner"
+                f"Q^{{-1}} solve: Ritz values of P^{{-1}} Q span [{lo:.3g}, {hi:.3g}], "
+                f"not inside {list(CG_SPECTRUM)} (nan: a quadratic form was not "
+                "positive); the grid's stretch defeats the preconditioner"
             )
         return x.reshape(arr.shape)
 

@@ -636,8 +636,13 @@ class TestThreads:
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        read = "import os, neumannlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
-        out = subprocess.run([sys.executable, "-c", read], env=env, capture_output=True, text=True, check=True, timeout=60)
+        read = (
+            "import os, neumannlab.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", read], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
         assert out.stdout.split() == [want, "1"]
 
 

@@ -213,17 +213,21 @@ class TestAngularMeasures:
     """Every angular measure keeps relative precision, also the tiny ones
     next to either pole."""
 
-    @pytest.mark.parametrize("N, shape, stretch", [(7, (40, 36), 2.0), (5, (64, 64), 4.0), (5, (48, 47), 0.0)])
+    @pytest.mark.parametrize(
+        "N, shape, stretch", [(7, (40, 36), 2.0), (5, (64, 64), 4.0), (5, (48, 47), 0.0)]
+    )
     def test_cells_and_segments_match_quadrature(self, N, shape, stretch):
         g = build_grid(N, 1.0, *shape, stretch=stretch)
         th = g.theta
         edges = np.concatenate(([0.0], 0.5 * (th[1:] + th[:-1]), [np.pi]))
-        np.testing.assert_allclose(g.angular[1][0], _gauss_legendre_sin_power(edges[:-1], edges[1:], N - 2), rtol=1e-13)
+        cells = _gauss_legendre_sin_power(edges[:-1], edges[1:], N - 2)
+        np.testing.assert_allclose(g.angular[1][0], cells, rtol=1e-13)
         # each segment's Gauss weights sum to its measure times the radial
         # total, int_0^R r^{N-1} times the sphere area
         radial = sphere_area(N - 1) * g.R**N / N
         segments = g.gauss_w.sum(axis=(0, 1)) / radial
-        np.testing.assert_allclose(segments, _gauss_legendre_sin_power(th[:-1], th[1:], N - 2), rtol=1e-13)
+        want = _gauss_legendre_sin_power(th[:-1], th[1:], N - 2)
+        np.testing.assert_allclose(segments, want, rtol=1e-13)
 
 
 class TestField:

@@ -624,7 +624,9 @@ class TestEnergySolver:
     def test_zero_right_hand_side(self, grid48):
         assert not _energy_solver(grid48, 1.0)(np.zeros((48, 48))).any()
 
-    @pytest.mark.parametrize("shape, stretch", [((96, 96), 35.5), ((32, 32), 20.0), ((32, 32), 30.0), ((32, 32), 36.0)])
+    @pytest.mark.parametrize(
+        "shape, stretch", [((96, 96), 35.5), ((32, 32), 20.0), ((32, 32), 30.0), ((32, 32), 36.0)]
+    )
     def test_extreme_stretch_meets_tolerance_or_raises(self, shape, stretch):
         # stretches build_grid accepts but whose near-axis measures defeat
         # the preconditioner: a solve is as accurate as a direct one, or
