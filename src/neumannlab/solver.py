@@ -31,14 +31,17 @@ critical mass 1, pinning the scale direction; I has degree 0, so its
 triple and gradient follow by homogeneity and the step adds only the
 Q^{-1} solve.
 
-Q^{-1} is solved exactly, with no factorization: conjugate gradients on
-Q, preconditioned with the inverse of its separable neighbour
-P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta, which lumps the angular
-mass of the a-term.  Each axis's pencil is one symmetric tridiagonal
-eigenproblem, so P^{-1} is four dense products (fast diagonalization:
-Lynch, Rice & Thomas 1964; Deville, Fischer & Mund 2002).  The spectrum
-of P^{-1} Q hugs 1, so a solve takes three or four iterations to the
-accuracy of a sparse LU.
+Q^{-1} is solved exactly, with no factorization where the grid allows:
+conjugate gradients on Q, preconditioned with the inverse of its
+separable neighbour P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta,
+which lumps the angular mass of the a-term.  Each axis's pencil is one
+symmetric tridiagonal eigenproblem, so P^{-1} is four dense products
+(fast diagonalization: Lynch, Rice & Thomas 1964; Deville, Fischer &
+Mund 2002).  The spectrum of P^{-1} Q hugs 1, so a solve takes three or
+four iterations to the accuracy of a sparse LU.  The solver certifies
+that spectrum once per run; on a grid stretched so far that the
+eigenproblems lose their small eigenvalues, the certificate fails and
+the run solves with a sparse LU of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
 all its solves at fixed alpha, and each solve reads its Euler-Lagrange
@@ -83,9 +86,10 @@ HISTORY = 5
 TIE_RTOL = 1e-12
 # A Q^{-1} solve stops once its residual's P^{-1}-norm is CG_RTOL of the
 # right-hand side's, the accuracy of a sparse LU.  That bounds the Q-norm
-# error only while P^{-1} Q stays spectrally close to 1, so the Ritz
-# values of the iteration must lie in CG_SPECTRUM; then CG_MAX_ITERS
-# iterations suffice, and a solve outside either bound raises
+# error by CG_RTOL sqrt(hi / lo) when the spectrum of P^{-1} Q, as
+# computed, is certified to lie in [lo, hi]; a grid whose certified
+# interval leaves CG_SPECTRUM gets a direct solve instead.  Inside it,
+# CG_MAX_ITERS iterations suffice, and a solve that needs more raises
 CG_RTOL = 1e-11
 CG_SPECTRUM = (0.5, 2.0)
 CG_MAX_ITERS = 30
@@ -231,16 +235,60 @@ def _axis_eigenpairs(main, off, measure):
     return lam, s[:, None] * vecs
 
 
+def _scaled_form(main, off, vecs, scale):
+    """diag(scale) V^T A V diag(scale) for the symmetric tridiagonal
+    A = (main, off) and the columns V of ``vecs``."""
+    av = main[:, None] * vecs
+    av[:-1] += off[:, None] * vecs[1:]
+    av[1:] += off[:, None] * vecs[:-1]
+    return (vecs.T @ av) * scale[:, None] * scale
+
+
 def _separable_inverse(grid: AxiGrid, a: float):
-    """P^{-1} for P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta.
+    """P^{-1} for P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta, or None
+    when the spectrum of the computed P^{-1} Q is not certified to lie
+    in CG_SPECTRUM.
 
     With (K_r + a M_r) V = D_r3 V diag(lam) and K_theta W = D_theta W
     diag(mu), both bases orthonormal in their measures,
     P^{-1} X = V [(V^T X W) / (lam_i + mu_j)] W^T.
+
+    The certificate multiplies two ranges of Rayleigh quotients.
+    - Q / P: Q - P = a M_r (x) E, E = M_theta - D_theta.  In the
+      eigenbases a M_r is at most sigma I, sigma = a max eig(M_r, D_r3),
+      and at most diag(lam); so where g_lo <= G <= g_hi for
+      G = sigma (mu + sigma)^{-1/2} W^T E W (mu + sigma)^{-1/2}, Q / P
+      lies in [1 + min(g_lo, 0), 1 + max(g_hi, 0)].
+    - P against the inverse of the computed P^{-1}: the eigensolver works
+      on D^{-1/2}-scaled bands, whose entries grow like the inverse of
+      the smallest cells, and strong stretches cost it the small
+      eigenvalues.  The defects of V^T (K_r + a M_r) V against diag(lam),
+      relative to lam, and of W^T K_theta W against diag(mu), relative
+      to mu + min lam, sum (in Frobenius norm) to delta, and the quotient
+      lies in [1 - delta, 1 + delta].  The scaled eigenvectors are
+      orthonormal to working precision, so the measures add rounding only.
     """
-    (k_r, d_r3, m_r), (k_th, d_th, _) = grid.radial, grid.angular
-    lam, v = _axis_eigenpairs(k_r[0] + a * m_r[0], k_r[1] + a * m_r[1], d_r3[0])
+    (k_r, d_r3, m_r), (k_th, d_th, m_th) = grid.radial, grid.angular
+    a_main, a_off = k_r[0] + a * m_r[0], k_r[1] + a * m_r[1]
+    lam, v = _axis_eigenpairs(a_main, a_off, d_r3[0])
     mu, w = _axis_eigenpairs(k_th[0], k_th[1], d_th[0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam_s, mu_s = 1.0 / np.sqrt(lam), 1.0 / np.sqrt(mu + lam.min())
+        delta = np.linalg.norm(_scaled_form(a_main, a_off, v, lam_s) - np.diag(lam * lam_s**2))
+        delta += np.linalg.norm(_scaled_form(k_th[0], k_th[1], w, mu_s) - np.diag(mu * mu_s**2))
+    # NaN when some lam or mu + min lam is not positive
+    if not delta < 1.0:
+        return None
+    s, top = 1.0 / np.sqrt(d_r3[0]), grid.n_r - 1
+    sigma = a * eigh_tridiagonal(
+        m_r[0] * s * s, m_r[1] * s[:-1] * s[1:], eigvals_only=True, select="i", select_range=(top, top)
+    )[0]
+    g = np.linalg.eigvalsh(
+        sigma * _scaled_form(m_th[0] - d_th[0], m_th[1], w, 1.0 / np.sqrt(mu + sigma))
+    )
+    lo, hi = (1.0 - delta) * (1.0 + min(g[0], 0.0)), (1.0 + delta) * (1.0 + max(g[-1], 0.0))
+    if not CG_SPECTRUM[0] <= lo <= hi <= CG_SPECTRUM[1]:
+        return None
     denom = lam[:, None] + mu
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -249,30 +297,19 @@ def _separable_inverse(grid: AxiGrid, a: float):
     return apply
 
 
-def _ritz_range(alphas, betas):
-    """Extreme eigenvalues of the Lanczos matrix that CG's step lengths
-    and direction weights define, the Ritz values of P^{-1} Q on the
-    space searched; NaN unless every coefficient is positive."""
-    a, b = np.array(alphas), np.array(betas)
-    if not (np.all(a > 0) and np.all(b > 0) and np.all(np.isfinite(b))):
-        return math.nan, math.nan
-    off = np.sqrt(b[:-1]) / a[:-1]
-    lanczos = np.diag(1.0 / a) + np.diag(off, 1) + np.diag(off, -1)
-    lanczos[1:, 1:] += np.diag(b[:-1] / a[:-1])
-    ritz = np.linalg.eigvalsh(lanczos)
-    return float(ritz[0]), float(ritz[-1])
-
-
 def _energy_solver(grid: AxiGrid, a: float):
     """Exact action of Q^{-1} for the descent metric: conjugate gradients
-    on Q, preconditioned with the separable P^{-1}.
+    on Q, preconditioned with the separable P^{-1}, or a sparse LU of Q
+    on a grid too stretched for P^{-1} to be certified.
 
-    Raises NumericalFailure when a solve does not reach CG_RTOL within
-    CG_MAX_ITERS iterations, or when its Ritz values leave CG_SPECTRUM,
-    where the P^{-1}-norm of the residual no longer measures the error.
+    Raises NumericalFailure when a CG solve does not reach CG_RTOL
+    within CG_MAX_ITERS iterations.
     """
     q = energy_operator(grid, a)
     p_inv = _separable_inverse(grid, a)
+    if p_inv is None:
+        lu = splu(q.tocsc())
+        return lambda arr: lu.solve(arr.ravel()).reshape(arr.shape)
     shape = (grid.n_r, grid.n_theta)
 
     def solve(arr: np.ndarray) -> np.ndarray:
@@ -284,9 +321,10 @@ def _energy_solver(grid: AxiGrid, a: float):
         z = p_inv(r)
         rz = rz0 = float(np.vdot(r, z))
         p = z
-        alphas, betas = [], []
-        while rz > CG_RTOL**2 * rz0:
-            if len(alphas) == CG_MAX_ITERS:
+        iters = 0
+        # written so that a NaN quadratic form runs into the cap
+        while not rz <= CG_RTOL**2 * rz0:
+            if iters == CG_MAX_ITERS:
                 raise NumericalFailure(
                     f"Q^{{-1}} solve did not reach {CG_RTOL:g} in {CG_MAX_ITERS} CG iterations"
                 )
@@ -296,19 +334,10 @@ def _energy_solver(grid: AxiGrid, a: float):
             r -= alpha * qp
             z = p_inv(r)
             rz_next = float(np.vdot(r, z))
-            beta, rz = rz_next / rz, rz_next
-            p *= beta
+            p *= rz_next / rz
             p += z
-            alphas.append(alpha)
-            betas.append(beta)
-        # no iteration means b . P^{-1} b was not positive
-        lo, hi = _ritz_range(alphas, betas) if alphas else (math.nan, math.nan)
-        if not CG_SPECTRUM[0] <= lo <= hi <= CG_SPECTRUM[1]:
-            raise NumericalFailure(
-                f"Q^{{-1}} solve: Ritz values of P^{{-1}} Q span [{lo:.3g}, {hi:.3g}], "
-                f"not inside {list(CG_SPECTRUM)} (nan: a quadratic form was not "
-                "positive); the grid's stretch defeats the preconditioner"
-            )
+            rz = rz_next
+            iters += 1
         return x.reshape(arr.shape)
 
     return solve

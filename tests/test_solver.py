@@ -37,11 +37,10 @@ from neumannlab.solver import (
     Descent,
     SolveConfig,
     _descend,
-    CG_RTOL,
+    CG_SPECTRUM,
     _energy_solver,
     _lbfgs_direction,
     _minimize_over_starts,
-    _ritz_range,
     _separable_inverse,
     estimate_alpha0,
     euler_lagrange_residual,
@@ -559,7 +558,8 @@ def _q_norm(q, v):
 
 class TestEnergySolver:
     """_energy_solver is an exact Q^{-1}: CG preconditioned with the
-    separable P^{-1}, to the accuracy of a direct solve, or a raise."""
+    separable P^{-1} where that is certified, to the accuracy of a direct
+    solve, and the direct solve itself where it is not."""
 
     @pytest.mark.parametrize(
         "N, shape, stretch, a",
@@ -569,16 +569,25 @@ class TestEnergySolver:
             (5, (128, 128), 4.0, 1.0),
             (5, (256, 256), 8.0, 1.0),
             (7, (40, 36), 2.0, 1.0),
+            # the strongest stretches the certificate passes
+            (5, (32, 32), 15.0, 1.0),
+            (5, (32, 32), 16.0, 1.0),
+            (5, (128, 128), 14.0, 1.0),
         ],
     )
     def test_matches_direct_solve(self, N, shape, stretch, a):
         g = build_grid(N, 1.0, *shape, stretch=stretch)
+        assert _separable_inverse(g, a) is not None
         q = energy_operator(g, a)
         b = np.random.default_rng(5).standard_normal(shape)
         want = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
         got = _energy_solver(g, a)(b)
         assert got.shape == b.shape
         assert _q_norm(q, got - want) <= 1e-10 * _q_norm(q, want)
+
+    @pytest.mark.parametrize("n", [96, 128, 256])
+    def test_benchmark_grids_are_certified(self, n):
+        assert _separable_inverse(build_grid(5, 1.0, n, n, stretch=4.0), 1.0) is not None
 
     def test_matches_manufactured_solution_at_512(self):
         # min D_theta is 7e-16 here, so the scaling D^{-1/2} reaches 4e7;
@@ -606,42 +615,42 @@ class TestEnergySolver:
         got = _separable_inverse(g, 1.5)(y)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
-    def test_ritz_values_of_a_diagonal_system(self):
-        # unpreconditioned CG on diag(1, 2, 3) from b = 1 spans the whole
-        # space in three steps, so its Ritz values are the eigenvalues
-        d, r = np.array([1.0, 2.0, 3.0]), np.ones(3)
-        p, rz, alphas, betas = r.copy(), 3.0, [], []
-        for _ in range(3):
-            alpha = rz / float(p @ (d * p))
-            r = r - alpha * d * p
-            beta = float(r @ r) / rz
-            p, rz = r + beta * p, float(r @ r)
-            alphas.append(alpha)
-            betas.append(beta)
-        assert _ritz_range(alphas, betas) == pytest.approx((1.0, 3.0), rel=1e-12)
-        assert np.isnan(_ritz_range([1.0, -1.0], [0.5, 0.1])[0])
+    @pytest.mark.parametrize("stretch, a", [(16.0, 1.0), (4.0, 50.0)])
+    def test_certified_spectrum_holds(self, stretch, a):
+        # the premise of the stopping rule, checked on the whole spectrum
+        # of the computed P^{-1} Q: at the certificate's strongest stretch,
+        # and with a large a, where Q and P differ most
+        g = build_grid(5, 1.0, 32, 32, stretch=stretch)
+        p_inv = _separable_inverse(g, a)
+        z = np.stack([p_inv(col.reshape(32, 32)).ravel() for col in np.eye(32 * 32)], axis=1)
+        ev = np.linalg.eigvals(z @ energy_operator(g, a).toarray())
+        assert np.abs(ev.imag).max() <= 1e-8
+        assert CG_SPECTRUM[0] <= ev.real.min() <= ev.real.max() <= CG_SPECTRUM[1]
 
     def test_zero_right_hand_side(self, grid48):
         assert not _energy_solver(grid48, 1.0)(np.zeros((48, 48))).any()
 
     @pytest.mark.parametrize(
-        "shape, stretch", [((96, 96), 35.5), ((32, 32), 20.0), ((32, 32), 30.0), ((32, 32), 36.0)]
+        "shape, stretch",
+        [((32, 32), 17.0), ((32, 32), 20.0), ((32, 32), 30.0), ((32, 32), 36.0), ((96, 96), 35.5),
+         ((128, 128), 16.0)],
     )
-    def test_extreme_stretch_meets_tolerance_or_raises(self, shape, stretch):
-        # stretches build_grid accepts but whose near-axis measures defeat
-        # the preconditioner: a solve is as accurate as a direct one, or
-        # it raises, never a quiet wrong answer
+    def test_too_stretched_grid_gets_the_direct_solve(self, shape, stretch):
+        # stretches build_grid accepts but whose near-axis measures cost
+        # the eigensolver the small eigenvalues: no certificate, so the
+        # solve is splu's own
         g = build_grid(5, 1.0, *shape, stretch=stretch)
+        assert _separable_inverse(g, 1.0) is None
         q = energy_operator(g, 1.0)
-        x = np.random.default_rng(8).standard_normal(shape)
-        b = (q @ x.ravel()).reshape(shape)
-        direct = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
-        try:
-            got = _energy_solver(g, 1.0)(b)
-        except NumericalFailure:
-            return
-        floor = max(_q_norm(q, direct - x), CG_RTOL * _q_norm(q, x))
-        assert _q_norm(q, got - x) <= 10.0 * floor
+        b = np.random.default_rng(8).standard_normal(shape)
+        want = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
+        np.testing.assert_array_equal(_energy_solver(g, 1.0)(b), want)
+
+    def test_nan_right_hand_side_raises(self, grid48):
+        b = np.ones((48, 48))
+        b[3, 4] = np.nan
+        with pytest.raises(NumericalFailure, match="CG iterations"):
+            _energy_solver(grid48, 1.0)(b)
 
 
 class TestFitInstanton:
