@@ -10,9 +10,15 @@ dimension, the package version, the seed, and wall timings; JSON
 outputs name the manifest, CSV bodies stay plain so that re-runs are
 byte-identical.
 
-``--seed`` and ``--threads`` are config keys of the solver subcommands
-(``minimize``, ``sweep``, ``alpha0``) only, so the manifest echoes them
-and a replay reuses them; the other subcommands reject them.
+Every flag but ``--config`` and ``--out`` is a config key, generated
+from ``CONFIG_SCHEMA`` for the subcommands that take it.  The solver
+subcommands (``minimize``, ``sweep``, ``alpha0``) share six keys, the
+fields of ``SolveConfig`` under the same names and with its defaults:
+``max_iters``, ``grad_tol``, ``n_starts``, ``seed``, ``tau`` and
+``threads``.  The run builds its ``SolveConfig`` from them by name, which
+checks their ranges, so the manifest echoes the settings the solver used
+and a replay reuses them.  The other subcommands have no ``--seed`` or
+``--threads``, and argparse rejects those as it does any foreign flag.
 
 Exit codes: 0 success, 1 internal error (an exception outside the
 package's own types, once the config has validated: the manifest
@@ -76,13 +82,6 @@ def _int(value) -> int:
     raise ValueError("not an integer")
 
 
-def _thread_count(value) -> int:
-    n = _int(value)
-    if n < 1:
-        raise ValueError("threads >= 1 required")
-    return n
-
-
 def _finite_float(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -99,6 +98,7 @@ def _float_list(value) -> tuple:
 
 
 _SOLVER_COMMANDS = ("minimize", "sweep", "alpha0")
+_SOLVER_SETTINGS = dataclasses.fields(SolveConfig)
 
 CONFIG_SCHEMA = {
     "N": (_int, 5, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
@@ -109,12 +109,11 @@ CONFIG_SCHEMA = {
     "n_r": (_int, 96, _SOLVER_COMMANDS),
     "n_theta": (_int, 96, _SOLVER_COMMANDS),
     "stretch": (_finite_float, 3.0, _SOLVER_COMMANDS),
-    "max_iters": (_int, 400, _SOLVER_COMMANDS),
-    "grad_tol": (_finite_float, 1e-4, _SOLVER_COMMANDS),
-    "n_starts": (_int, 4, _SOLVER_COMMANDS),
-    "seed": (_int, 0, _SOLVER_COMMANDS),
-    "threads": (_thread_count, 1, _SOLVER_COMMANDS),
-    "tau": (_finite_float, 0.01, _SOLVER_COMMANDS),
+    # the solver's settings, with SolveConfig's defaults; it checks ranges
+    **{
+        f.name: ({"int": _int, "float": _finite_float}[f.type], f.default, _SOLVER_COMMANDS)
+        for f in _SOLVER_SETTINGS
+    },
     "triples": (str, _REQUIRED, ("nehari-check",)),
     "eps_list": (_float_list, DEFAULT_EPS, ("instanton-verify",)),
     "n_rho": (_int, 24, ("instanton-verify",)),
@@ -211,13 +210,7 @@ def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
 def _solver_pieces(cfg: dict):
     params = make_params(cfg["N"], cfg["a"], cfg.get("alpha", 0.0), cfg["R"])
     grid = build_grid(cfg["N"], cfg["R"], cfg["n_r"], cfg["n_theta"], cfg["stretch"])
-    solve_config = SolveConfig(
-        max_iters=cfg["max_iters"],
-        grad_tol=cfg["grad_tol"],
-        n_starts=cfg["n_starts"],
-        seed=cfg["seed"],
-        threshold_slack=cfg["tau"],
-    )
+    solve_config = SolveConfig(**{f.name: cfg[f.name] for f in _SOLVER_SETTINGS})
     return params, grid, solve_config
 
 
@@ -425,7 +418,7 @@ def _run_instanton_verify(cfg, ctx):
 
 def _run_minimize(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
-    res = minimize(params, solve_config, grid, threads=cfg["threads"])
+    res = minimize(params, solve_config, grid)
     payload = _result_payload(res)
     payload["alpha"] = params.alpha
     payload["manifest"] = "manifest.json"
@@ -446,7 +439,7 @@ def _run_minimize(cfg, ctx):
 
 def _run_sweep(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
-    swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid, threads=cfg["threads"])
+    swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid)
     rows = [_diagnostic_row(a, r) for a, r in zip(swept.alphas, swept.results)]
     ctx["outputs"]["sweep.csv"] = (SWEEP_HEADER, rows)
     for idx, res in enumerate(swept.results):
@@ -482,7 +475,7 @@ def _stopped_above_tol(alphas, solve_config) -> str:
 def _run_alpha0(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     bracket = (cfg["alpha_list"][0], cfg["alpha_list"][-1])
-    res = estimate_alpha0(params, solve_config, grid, bracket, threads=cfg["threads"])
+    res = estimate_alpha0(params, solve_config, grid, bracket)
     payload = {
         "alpha_hat": res.alpha_hat,
         "certificate_below": list(res.certificate_below),
@@ -520,7 +513,8 @@ SUBCOMMANDS = tuple(HANDLERS)
 
 def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         seed=None, threads=None) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code.  ``seed``
+    and ``threads``, when given, override those two config keys."""
     t0 = time.perf_counter()
     ctx = {"outputs": {}, "summary": {}}
     cfg = None
@@ -591,16 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file, or a manifest.json to replay")
         p.add_argument("--out", default=None, help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="multistart worker count for minimize, sweep and alpha0 (default 1)",
-        )
         for key, (parse, _, commands) in CONFIG_SCHEMA.items():
-            if name not in commands or key in ("seed", "threads"):
-                continue  # --seed and --threads are the common flags above
+            if name not in commands:
+                continue
             flag = "--" + key.replace("_", "-")
             if parse is _float_list:
                 p.add_argument(flag, dest=key, default=None, metavar="V1,V2,...")

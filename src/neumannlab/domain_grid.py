@@ -168,17 +168,6 @@ class AxiGrid:
         dt = values[:, 1:] - values[:, :-1]
         return float(np.sum(self.r_edge_coeff * dr * dr) + np.sum(self.theta_edge_coeff * dt * dt))
 
-    def gradient_seminorm_parts(self, values: np.ndarray) -> np.ndarray:
-        """Vector whose squared length is gradient_energy(values)."""
-        dr = values[1:, :] - values[:-1, :]
-        dt = values[:, 1:] - values[:, :-1]
-        return np.concatenate(
-            [
-                (np.sqrt(self.r_edge_coeff) * dr).ravel(),
-                (np.sqrt(self.theta_edge_coeff) * dt).ravel(),
-            ]
-        )
-
     def power_masses(self, values: np.ndarray, combine=None):
         """(int u^2, int |u|^q, int |u|^2*) with u the bilinear interpolant,
         q = 2(N-1)/(N-2) and 2* = 2N/(N-2), by per-cell Gauss points

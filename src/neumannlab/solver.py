@@ -45,7 +45,9 @@ the run solves with a sparse LU of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
 all its solves at fixed alpha, and each solve reads its Euler-Lagrange
-residual from the winning descent's final dual norm.
+residual from the winning descent's final dual norm.  One SolveConfig
+holds all of a run's settings, the worker count included; its fields
+and defaults are those of the CLI's solver config keys.
 """
 
 from __future__ import annotations
@@ -97,21 +99,27 @@ CG_MAX_ITERS = 30
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """A run's solver settings.  The fields are the solver subcommands'
+    config keys, under the same names and with the same defaults:
+    iteration cap and dual-norm stopping tolerance of each descent,
+    number of starts, seed of the random starts, the alpha_0 threshold
+    slack tau, and the number of workers the starts run on."""
     max_iters: int = 400
-    grad_tol: float = 1e-6
-    n_starts: int = 5
+    grad_tol: float = 1e-4
+    n_starts: int = 4
     seed: int = 0
-    threshold_slack: float = 0.01
+    tau: float = 0.01
+    threads: int = 1
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ConfigurationError(f"grad_tol > 0 required, got {self.grad_tol}")
-        if not 0 < self.threshold_slack < 0.1:
-            raise ConfigurationError(
-                f"threshold_slack in (0, 0.1) required, got {self.threshold_slack}"
-            )
-        if self.max_iters < 1 or self.n_starts < 1:
-            raise ConfigurationError("max_iters >= 1 and n_starts >= 1 required")
+        if not 0 < self.tau < 0.1:
+            raise ConfigurationError(f"tau in (0, 0.1) required, got {self.tau}")
+        for key in ("max_iters", "n_starts", "threads"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigurationError(f"{key} >= 1 required, got {value}")
         if self.seed < 0:
             raise ConfigurationError(f"seed >= 0 required, got {self.seed}")
 
@@ -471,7 +479,9 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     least-squares bubble fit (C, eps) there.
 
     The distance minimized is the gradient seminorm of the difference,
-    the same distance the diagnostics quote as w_norm.  The center is
+    the same distance the diagnostics quote as w_norm: the residual is
+    the difference's edge differences, weighted by the square roots of
+    the edge coefficients, which are taken once per fit.  The center is
     pinned to the north-pole boundary point; an interior (or off-axis)
     maximum means the field is not concentrating there, and the fit is
     skipped with a message instead of forced.
@@ -504,11 +514,15 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
         # mirror so the peak sits at theta = 0
         field = Field(grid, field.values[:, ::-1])
     eps_floor = max(2.0 * grid.min_boundary_spacing, 1e-12)
+    w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
 
     def residual(x):
         C, eps = x
         bubble = interpolate_instanton(grid, InstantonParams(max(eps, eps_floor), amplitude=max(C, 1e-12)))
-        return grid.gradient_seminorm_parts(field.values - bubble.values)
+        diff = field.values - bubble.values
+        return np.concatenate(
+            [(w_r * np.diff(diff, axis=0)).ravel(), (w_theta * np.diff(diff, axis=1)).ravel()]
+        )
 
     x0 = np.array([1.0, max(delta_M, eps_floor)])
     sol = optimize.least_squares(
@@ -534,7 +548,7 @@ def _resolvable_bubble(grid: AxiGrid, frac: float) -> Field:
     return interpolate_instanton(grid, InstantonParams(eps))
 
 
-def default_starts(params, config: SolveConfig, grid: AxiGrid):
+def default_starts(config: SolveConfig, grid: AxiGrid):
     """The first ``n_starts`` of: constant, three bubbles (clamped to
     resolvable scale), then seeded random fields."""
     scales = (0.3, 0.1, 0.03)[: config.n_starts - 1]
@@ -573,18 +587,19 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, po
 
 
 @contextmanager
-def _continuation(base_params, config: SolveConfig, grid: AxiGrid, threads: int, restarts=()):
+def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
     """Yield solve(alpha, warm=None) for one run: one Q^{-1} solver and
-    one pool of ``threads`` workers serve every solve.  A cold solve
-    starts from default_starts, a warm one from [warm, constant, *restarts]."""
+    one pool of ``config.threads`` workers serve every solve.  A cold
+    solve starts from default_starts, a warm one from
+    [warm, constant, *restarts]."""
     solve_q = _energy_solver(grid, base_params.a)
     constant = Field.constant(grid, 1.0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
 
         def solve(alpha: float, warm: Optional[Field] = None) -> SolveResult:
             params = replace(base_params, alpha=alpha)
             if warm is None:
-                starts = default_starts(params, config, grid)
+                starts = default_starts(config, grid)
             else:
                 starts = [warm, constant, *restarts]
             return _minimize_over_starts(params, config, grid, starts, pool, solve_q)
@@ -592,13 +607,14 @@ def _continuation(base_params, config: SolveConfig, grid: AxiGrid, threads: int,
         yield solve
 
 
-def minimize(params, config: SolveConfig, grid: AxiGrid, threads: int = 1) -> SolveResult:
-    """Best-of-multistart descent on I_alpha."""
-    with _continuation(params, config, grid, threads) as solve:
+def minimize(params, config: SolveConfig, grid: AxiGrid) -> SolveResult:
+    """Best-of-multistart descent on I_alpha: ``config.n_starts`` starts
+    on ``config.threads`` workers, the lowest final level wins."""
+    with _continuation(params, config, grid) as solve:
         return solve(params.alpha)
 
 
-def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid, threads: int = 1) -> SweepResult:
+def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid) -> SweepResult:
     """Solve along an ascending alpha list, warm-starting from the last
     minimizer; monotonicity violations are flagged, never corrected."""
     alphas = [float(a) for a in alphas]
@@ -613,7 +629,7 @@ def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid, threads
     # a fine bubble restarts every warm solve, so the sweep can leave the
     # constant branch once concentration wins
     bubble = _resolvable_bubble(grid, 0.05)
-    with _continuation(base_params, config, grid, threads, (bubble,)) as solve:
+    with _continuation(base_params, config, grid, (bubble,)) as solve:
         for a in alphas:
             results.append(solve(a, results[-1].minimizer if results else None))
     levels = [r.S_alpha_est for r in results]
@@ -641,23 +657,22 @@ def _amax_bound(base_params, grid: AxiGrid) -> float:
     return float(optimize.brentq(excess, 0.0, hi, xtol=1e-10))
 
 
-def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket, threads: int = 1) -> Alpha0Result:
+def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket) -> Alpha0Result:
     """Bisect for the smallest alpha whose level saturates the limit.
 
-    The crossing is detected against (1 - tau) S / 2^{2/N}; tau absorbs
-    the mesh-limited bias of the discrete infimum near concentration.
-    The returned estimate is biased low on the restricted space and is
-    reported with two analytic lower bounds rather than asserted against
-    them.
+    The crossing is detected against (1 - tau) S / 2^{2/N}; ``config.tau``
+    absorbs the mesh-limited bias of the discrete infimum near
+    concentration.  The returned estimate is biased low on the restricted
+    space and is reported with two analytic lower bounds rather than
+    asserted against them.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-    tau = config.threshold_slack
-    threshold = (1.0 - tau) * sobolev_S(grid.N) / 2.0 ** (2.0 / grid.N)
+    threshold = (1.0 - config.tau) * sobolev_S(grid.N) / 2.0 ** (2.0 / grid.N)
 
     evals = []
-    with _continuation(base_params, config, grid, threads) as solve:
+    with _continuation(base_params, config, grid) as solve:
 
         def level_at(a, warm):
             res = solve(a, warm)

@@ -1,5 +1,6 @@
 """Exit codes, config handling, and output files of the command line driver."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -276,11 +277,31 @@ class TestConfigRejection:
 
     @pytest.mark.parametrize("subcommand", ["constants", "nehari-check", "instanton-verify"])
     def test_seed_flag_rejected_without_solver(self, subcommand, tmp_path, capsys):
+        # the solver's settings are no flags of these subcommands, so
+        # argparse refuses them as foreign flags
         for flag, value in (("seed", "3"), ("threads", "2")):
             out = tmp_path / flag
-            assert cli.main([subcommand, "--out", str(out), "--" + flag, value]) == 2
+            with pytest.raises(SystemExit) as exc:
+                cli.main([subcommand, "--out", str(out), "--" + flag, value])
+            assert exc.value.code == 2
             assert flag in capsys.readouterr().err
-            assert not (out / "manifest.json").exists()
+            assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["minimize", "sweep", "alpha0"])
+    def test_solver_defaults_are_solve_config(self, subcommand):
+        raw = {} if subcommand == "minimize" else {"alpha_list": "1"}
+        cfg = cli.resolve_config(subcommand, raw, {})
+        want = dataclasses.asdict(solver.SolveConfig())
+        assert {k: cfg[k] for k in want} == want
+        assert [type(cfg[k]) for k in want] == [type(v) for v in want.values()]
+
+    def test_out_of_range_setting_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER)
+        for flag, value in (("--tau", "0.5"), ("--threads", "0")):
+            out = tmp_path / flag.strip("-")
+            assert cli.main(["minimize", "--config", cfg, "--out", str(out), flag, value]) == 2
+            assert f"{flag.strip('-')} " in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestMinimizeCommand:

@@ -84,8 +84,10 @@ class TestConfigValidation:
             SolveConfig(max_iters=10, grad_tol=0.0, n_starts=1, seed=0)
         with pytest.raises(ConfigurationError):
             SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=0, seed=0)
-        with pytest.raises(ConfigurationError):
-            SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=0, threshold_slack=0.5)
+        with pytest.raises(ConfigurationError, match="tau"):
+            SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=0, tau=0.5)
+        with pytest.raises(ConfigurationError, match="threads"):
+            SolveConfig(threads=0)
 
 
     def test_negative_seed(self):
@@ -330,7 +332,7 @@ class TestStarts:
         monkeypatch.setattr(
             solver, "interpolate_instanton", lambda *args: calls.append(args) or real(*args)
         )
-        starts = solver.default_starts(None, cfg, grid48)
+        starts = solver.default_starts(cfg, grid48)
         assert len(calls) == bubbles
         assert len(starts) == n_starts
         for got, exact in zip(starts, want):
@@ -471,10 +473,9 @@ class TestMinimize:
         assert r1.S_alpha_est == r2.S_alpha_est  # bit identical
 
     def test_threads_agree_with_serial(self, grid64):
-        cfg = quick_config(max_iters=60)
         p = make_params(5, 1.0, 2.6)
-        r1 = minimize(p, cfg, grid64, threads=1)
-        r2 = minimize(p, cfg, grid64, threads=3)
+        r1 = minimize(p, quick_config(max_iters=60, threads=1), grid64)
+        r2 = minimize(p, quick_config(max_iters=60, threads=3), grid64)
         assert r1.S_alpha_est == r2.S_alpha_est
 
     def test_concentration_diagnostics(self, grid64):
@@ -531,7 +532,7 @@ class TestContinuation:
 
     def test_sweep_is_one_run(self, counts):
         grid = build_grid(5, 1.0, 32, 32, stretch=2.0)
-        sw = sweep_alpha(make_params(5, 1.0, 0.0), [0.0, 1.0, 2.0], quick_config(), grid, threads=2)
+        sw = sweep_alpha(make_params(5, 1.0, 0.0), [0.0, 1.0, 2.0], quick_config(threads=2), grid)
         assert len(sw.results) == 3
         assert counts == {"pools": 1, "factorizations": 1}
 
