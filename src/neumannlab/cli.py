@@ -8,7 +8,10 @@ lists them, and creates the output directory only then.  The manifest
 echoes the fully resolved config, the constant pack for the run's
 dimension, the package version, the seed, and wall timings; JSON
 outputs name the manifest, CSV bodies stay plain so that re-runs are
-byte-identical.
+byte-identical.  The outputs are the solver's records: ``alpha0.json``
+is ``Alpha0Result`` and ``result.json``'s ``diagnostics`` is
+``BlowupDiagnostics``, field for field, and every CSV row is a dict
+whose keys are the header.
 
 Every flag but ``--config`` and ``--out`` is a config key, generated
 from ``CONFIG_SCHEMA`` for the subcommands that take it.  The solver
@@ -16,17 +19,19 @@ subcommands (``minimize``, ``sweep``, ``alpha0``) share six keys, the
 fields of ``SolveConfig`` under the same names and with its defaults:
 ``max_iters``, ``grad_tol``, ``n_starts``, ``seed``, ``tau`` and
 ``threads``.  The run builds its ``SolveConfig`` from them by name, which
-checks their ranges, so the manifest echoes the settings the solver used
-and a replay reuses them.  The other subcommands have no ``--seed`` or
-``--threads``, and argparse rejects those as it does any foreign flag.
+checks their types and ranges, so the manifest echoes the settings the
+solver used and a replay reuses them.  The other subcommands have no
+``--seed`` or ``--threads``, and argparse rejects those as it does any
+foreign flag.
 
 Exit codes: 0 success, 1 internal error (an exception outside the
 package's own types, once the config has validated: the manifest
 records it as ``failure`` and the traceback goes to stderr), 2
 validation failure (bad flags, malformed or incomplete config, a float
-or bool for an integer key, out-of-domain inputs, an unreadable input
-file, an output directory that cannot be made: nothing is written, not
-even the output directory), 3 accuracy
+or bool for an integer key, an R that is not positive, out-of-domain
+inputs, a non-finite triple, an unreadable input file, an output
+directory that cannot be made: nothing is written, not even the output
+directory), 3 accuracy
 or convergence failure.  The solver subcommands write every output and
 the manifest first, then exit 3 when any solve they report stopped
 above ``grad_tol``.
@@ -89,6 +94,13 @@ def _finite_float(value) -> float:
     return x
 
 
+def _positive_float(value) -> float:
+    x = _finite_float(value)
+    if not x > 0:
+        raise ValueError("not positive")
+    return x
+
+
 def _float_list(value) -> tuple:
     """A list key's values, from config text or a replayed JSON array."""
     parts = value.replace(",", " ").split() if isinstance(value, str) else list(value)
@@ -102,14 +114,14 @@ _SOLVER_SETTINGS = dataclasses.fields(SolveConfig)
 
 CONFIG_SCHEMA = {
     "N": (_int, 5, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
-    "R": (_finite_float, 1.0, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
+    "R": (_positive_float, 1.0, ("constants", "instanton-verify") + _SOLVER_COMMANDS),
     "a": (_finite_float, 1.0, _SOLVER_COMMANDS),
     "alpha": (_finite_float, 0.0, ("minimize",)),
     "alpha_list": (_float_list, _REQUIRED, ("sweep", "alpha0")),
     "n_r": (_int, 96, _SOLVER_COMMANDS),
     "n_theta": (_int, 96, _SOLVER_COMMANDS),
     "stretch": (_finite_float, 3.0, _SOLVER_COMMANDS),
-    # the solver's settings, with SolveConfig's defaults; it checks ranges
+    # the solver's settings, with SolveConfig's defaults; it checks them
     **{
         f.name: ({"int": _int, "float": _finite_float}[f.type], f.default, _SOLVER_COMMANDS)
         for f in _SOLVER_SETTINGS
@@ -214,12 +226,12 @@ def _solver_pieces(cfg: dict):
     return params, grid, solve_config
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _write_csv(path: str, rows: list) -> None:
+    """A CSV of dict rows: the header is their keys, in order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({key: _fmt(cell) for key, cell in row.items()} for row in rows)
 
 
 def _finite_or_null(obj):
@@ -259,9 +271,10 @@ def _check_output_dir(out_dir: str) -> None:
 
 def _write_outputs(out_dir: str, outputs: dict) -> list:
     """Create ``out_dir`` and write each staged output by its kind: a
-    ``Field`` as its ``<name>.csv``/``<name>.json`` snapshot pair, a dict
-    as JSON, a ``(header, rows)`` tuple as CSV, and a list of records as
-    strict JSON lines.  Returns the written file names in order."""
+    ``Field`` as its ``<name>.csv``/``<name>.json`` snapshot pair, a
+    ``.csv`` as its dict rows, a ``.jsonl`` as strict JSON lines, one per
+    record, and any other name as one JSON document.  Returns the written
+    file names in order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, content in outputs.items():
@@ -270,67 +283,31 @@ def _write_outputs(out_dir: str, outputs: dict) -> list:
             save_field_snapshot(content, path + ".csv", path + ".json")
             written += [name + ".csv", name + ".json"]
             continue
-        if isinstance(content, dict):
-            _write_json(path, content)
-        elif isinstance(content, tuple):
-            _write_csv(path, *content)
-        else:
+        if name.endswith(".csv"):
+            _write_csv(path, content)
+        elif name.endswith(".jsonl"):
             with open(path, "w") as fh:
                 fh.writelines(_strict_json(rec) + "\n" for rec in content)
+        else:
+            _write_json(path, content)
         written.append(name)
     return written
 
 
-def _diagnostic_row(alpha: float, res) -> list:
+def _sweep_row(alpha: float, res) -> dict:
+    """One ``sweep.csv`` row; a skipped fit reads nan."""
     d = res.diagnostics
-    fit_eps = d.fit.eps if d.fit is not None else float("nan")
-    fit_c = d.fit.amplitude if d.fit is not None else float("nan")
-    return [
-        alpha,
-        res.S_alpha_est,
-        res.converged,
-        d.M,
-        d.delta_M,
-        fit_eps,
-        fit_c,
-        d.w_norm,
-        d.boundary_flag,
-    ]
-
-
-SWEEP_HEADER = [
-    "alpha",
-    "S_est",
-    "converged",
-    "M",
-    "delta_M",
-    "fit_eps",
-    "fit_C",
-    "w_norm",
-    "boundary_flag",
-]
-
-
-def _result_payload(res) -> dict:
-    d = res.diagnostics
+    nan = float("nan")
     return {
-        "S_alpha_est": res.S_alpha_est,
-        "triple": {"a_bar": res.triple.a_bar, "b": res.triple.b, "c": res.triple.c},
-        "iterations": res.iterations,
-        "converged": bool(res.converged),
-        "el_residual": res.el_residual,
-        "start_values": list(res.start_values),
-        "starts": [dataclasses.asdict(st) for st in res.starts],
-        "diagnostics": {
-            "M": d.M,
-            "delta_M": d.delta_M,
-            "P": [float(p) for p in d.P],
-            "w_norm": d.w_norm,
-            "boundary_flag": bool(d.boundary_flag),
-            "fit": None
-            if d.fit is None
-            else {"eps": d.fit.eps, "amplitude": d.fit.amplitude},
-        },
+        "alpha": alpha,
+        "S_est": res.S_alpha_est,
+        "converged": res.converged,
+        "M": d.M,
+        "delta_M": d.delta_M,
+        "fit_eps": nan if d.fit is None else d.fit.eps,
+        "fit_C": nan if d.fit is None else d.fit.amplitude,
+        "w_norm": d.w_norm,
+        "boundary_flag": d.boundary_flag,
     }
 
 
@@ -341,24 +318,21 @@ def _run_constants(cfg, ctx):
 
 
 def _run_nehari_check(cfg, ctx):
-    rows = []
     reader = csv.DictReader(io.StringIO(_read_text(cfg["triples"], "triples")))
     required = {"a_bar", "b", "c", "N"}
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise ConfigurationError(
             f"triples file needs columns a_bar,b,c,N, got {reader.fieldnames}"
         )
+    records = []
+    violations = 0
     for idx, row in enumerate(reader):
         try:
             triple = NormTriple(
-                float(row["a_bar"]), float(row["b"]), float(row["c"]), int(row["N"])
+                *(_finite_float(row[k]) for k in ("a_bar", "b", "c")), _int(row["N"])
             )
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"triples row {idx}: {exc}") from exc
-        rows.append(triple)
-    records = []
-    violations = 0
-    for idx, triple in enumerate(rows):
         level = big_I(triple)
         lb = lower_bound(triple)
         ub = upper_bound(triple)
@@ -400,14 +374,16 @@ def _run_instanton_verify(cfg, ctx):
     )
     worst = 0.0
     for rec in report.records:
-        rows = [
-            [eps, value, rec.c1, rec.expected_c1, rec.rel_error_c1]
+        ctx["outputs"][f"expansion_{rec.name.replace('/', '_')}.csv"] = [
+            {
+                "eps": eps,
+                "value": value,
+                "extrapolated_coefficient": rec.c1,
+                "expected_coefficient": rec.expected_c1,
+                "rel_error": rec.rel_error_c1,
+            }
             for eps, value in zip(rec.eps, rec.values)
         ]
-        ctx["outputs"][f"expansion_{rec.name.replace('/', '_')}.csv"] = (
-            ["eps", "value", "extrapolated_coefficient", "expected_coefficient", "rel_error"],
-            rows,
-        )
         worst = max(worst, rec.rel_error_c0, rec.rel_error_c1)
         print(
             f"{rec.name}: c1 = {rec.c1:.6g} (expected {rec.expected_c1:.6g}, "
@@ -419,14 +395,23 @@ def _run_instanton_verify(cfg, ctx):
 def _run_minimize(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     res = minimize(params, solve_config, grid)
-    payload = _result_payload(res)
-    payload["alpha"] = params.alpha
-    payload["manifest"] = "manifest.json"
     print(
         f"S_alpha_est = {res.S_alpha_est:.12g}  converged = {res.converged}  "
         f"iterations = {res.iterations}"
     )
-    ctx["outputs"]["result.json"] = payload
+    # triple lists no N, and the minimizer is staged as its own snapshot
+    ctx["outputs"]["result.json"] = {
+        "alpha": params.alpha,
+        "S_alpha_est": res.S_alpha_est,
+        "triple": {"a_bar": res.triple.a_bar, "b": res.triple.b, "c": res.triple.c},
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "el_residual": res.el_residual,
+        "start_values": res.start_values,
+        "starts": [dataclasses.asdict(st) for st in res.starts],
+        "diagnostics": dataclasses.asdict(res.diagnostics),
+        "manifest": "manifest.json",
+    }
     ctx["outputs"]["field_final"] = res.minimizer
     ctx["summary"] = {"S_alpha_est": res.S_alpha_est, "converged": bool(res.converged)}
     if not res.converged:
@@ -440,14 +425,14 @@ def _run_minimize(cfg, ctx):
 def _run_sweep(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid)
-    rows = [_diagnostic_row(a, r) for a, r in zip(swept.alphas, swept.results)]
-    ctx["outputs"]["sweep.csv"] = (SWEEP_HEADER, rows)
+    rows = [_sweep_row(a, r) for a, r in zip(swept.alphas, swept.results)]
+    ctx["outputs"]["sweep.csv"] = rows
     for idx, res in enumerate(swept.results):
         ctx["outputs"][f"field_{idx:03d}"] = res.minimizer
     for row in rows:
         print(
-            f"alpha = {row[0]:.6g}  S_est = {row[1]:.12g}  "
-            f"boundary = {bool(row[8])}  converged = {bool(row[2])}"
+            f"alpha = {row['alpha']:.6g}  S_est = {row['S_est']:.12g}  "
+            f"boundary = {row['boundary_flag']}  converged = {row['converged']}"
         )
     ctx["summary"] = {
         "levels": [r.S_alpha_est for r in swept.results],
@@ -476,21 +461,11 @@ def _run_alpha0(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     bracket = (cfg["alpha_list"][0], cfg["alpha_list"][-1])
     res = estimate_alpha0(params, solve_config, grid, bracket)
-    payload = {
-        "alpha_hat": res.alpha_hat,
-        "certificate_below": list(res.certificate_below),
-        "certificate_above": list(res.certificate_above),
-        "threshold": res.threshold,
-        "analytic_curvature_bound": res.analytic_curvature_bound,
-        "analytic_amax_bound": res.analytic_amax_bound,
-        "evaluations": [list(ev) for ev in res.evaluations],
-        "manifest": "manifest.json",
-    }
     print(
         f"alpha_hat = {res.alpha_hat:.6g}  bracket = [{bracket[0]:g}, {bracket[1]:g}]  "
         f"threshold = {res.threshold:.12g}"
     )
-    ctx["outputs"]["alpha0.json"] = payload
+    ctx["outputs"]["alpha0.json"] = dict(dataclasses.asdict(res), manifest="manifest.json")
     ctx["summary"] = {"alpha_hat": res.alpha_hat}
     unconverged = [a for a, _, converged in res.evaluations if not converged]
     if unconverged:

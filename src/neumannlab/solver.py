@@ -53,10 +53,11 @@ and defaults are those of the CLI's solver config keys.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -103,7 +104,8 @@ class SolveConfig:
     config keys, under the same names and with the same defaults:
     iteration cap and dual-norm stopping tolerance of each descent,
     number of starts, seed of the random starts, the alpha_0 threshold
-    slack tau, and the number of workers the starts run on."""
+    slack tau, and the number of workers the starts run on.  Each is
+    checked for its type (a bool is no int) and its range."""
     max_iters: int = 400
     grad_tol: float = 1e-4
     n_starts: int = 4
@@ -112,8 +114,13 @@ class SolveConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ConfigurationError(f"grad_tol > 0 required, got {self.grad_tol}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ConfigurationError(f"finite grad_tol > 0 required, got {self.grad_tol}")
         if not 0 < self.tau < 0.1:
             raise ConfigurationError(f"tau in (0, 0.1) required, got {self.tau}")
         for key in ("max_iters", "n_starts", "threads"):
@@ -132,7 +139,6 @@ class BlowupDiagnostics:
     fit: Optional[InstantonParams]
     w_norm: float
     boundary_flag: bool
-    message: str
 
 
 @dataclass(frozen=True)
@@ -484,7 +490,7 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     the edge coefficients, which are taken once per fit.  The center is
     pinned to the north-pole boundary point; an interior (or off-axis)
     maximum means the field is not concentrating there, and the fit is
-    skipped with a message instead of forced.
+    skipped, not forced: ``fit`` and ``w_norm`` are None and nan.
     """
     grid = field.grid
     i, j = np.unravel_index(int(np.argmax(field.values)), field.values.shape)
@@ -498,7 +504,6 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
         fit=None,
         w_norm=float("nan"),
         boundary_flag=bool(i == grid.n_r - 1),
-        message="maximum not at an axis boundary point; fit skipped",
     )
     # the argmax of a noisy concentrating profile wanders within the
     # bubble core (many stretched nodes fit inside it), so gate on the
@@ -538,7 +543,6 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
         skipped,
         fit=InstantonParams(eps=float(max(eps_fit, eps_floor)), amplitude=float(max(C_fit, 1e-12))),
         w_norm=float(np.linalg.norm(sol.fun)),
-        message="ok",
     )
 
 

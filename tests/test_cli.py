@@ -266,6 +266,14 @@ class TestConfigRejection:
         err = capsys.readouterr().err
         assert f"invalid value for {key}" in err and "not an integer" in err
 
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_nonpositive_radius_rejected(self, radius, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["constants", "--R", radius, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid value for R" in err and "not positive" in err
+        assert not out.exists()
+
     def test_unknown_override_keys_listed(self, capsys):
         assert cli.run("constants", overrides={"N": "5", "bogus": "1"}) == 2
         assert "bogus" in capsys.readouterr().err
@@ -432,6 +440,9 @@ class TestMinimizeCommand:
         res = json.loads((out / "result.json").read_text(), parse_constant=reject_constant)
         assert res["diagnostics"]["fit"] is None
         assert res["diagnostics"]["w_norm"] is None
+        # the diagnostics are the solver's record, key for field
+        fields = {f.name for f in dataclasses.fields(solver.BlowupDiagnostics)}
+        assert set(res["diagnostics"]) == fields
 
 
 class TestSweepCommand:
@@ -510,6 +521,8 @@ class TestAlpha0Command:
         assert doc["analytic_curvature_bound"] == pytest.approx(0.5092958178940651)
         assert doc["manifest"] == "manifest.json"
         assert len(doc["evaluations"]) >= 8
+        # the document is the solver's record, key for field
+        assert set(doc) - {"manifest"} == {f.name for f in dataclasses.fields(solver.Alpha0Result)}
 
     def test_bad_bracket(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 3.5, 2.0\n")
@@ -572,9 +585,15 @@ class TestNehariCheckCommand:
         assert cli.run("nehari-check", overrides={"triples": str(triples)}) == 2
 
     def test_bad_row(self, tmp_path, capsys):
-        triples = tmp_path / "t.csv"
-        triples.write_text("a_bar,b,c,N\n1.0,0.5,frog,5\n")
-        assert cli.run("nehari-check", overrides={"triples": str(triples)}) == 2
+        # a non-finite entry is rejected like a non-number, naming its row
+        for bad in ("1.0,0.5,frog,5", "1.0,nan,1.0,5", "1.0,0.5,inf,5", "1.0,0.5,1.0,5.0"):
+            triples = tmp_path / "t.csv"
+            triples.write_text(f"a_bar,b,c,N\n1.0,0.5,1.0,5\n{bad}\n")
+            out = tmp_path / "run"
+            code = cli.run("nehari-check", overrides={"triples": str(triples)}, output_dir=str(out))
+            assert code == 2, bad
+            assert "triples row 1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_key(self, capsys):
         assert cli.run("nehari-check") == 2

@@ -76,6 +76,7 @@ def quick_config(**kw):
 class TestConfigValidation:
     def test_good(self):
         SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=3)
+        SolveConfig(max_iters=np.int64(10), grad_tol=np.float64(1e-5), seed=np.int32(3))
 
     def test_bad(self):
         with pytest.raises(ConfigurationError):
@@ -88,6 +89,19 @@ class TestConfigValidation:
             SolveConfig(max_iters=10, grad_tol=1e-5, n_starts=1, seed=0, tau=0.5)
         with pytest.raises(ConfigurationError, match="threads"):
             SolveConfig(threads=0)
+        # types, not only ranges: an infinite tolerance would mark every
+        # start converged at once, and a float cap never stops a descent
+        for key, value in (
+            ("grad_tol", float("inf")),
+            ("grad_tol", float("nan")),
+            ("max_iters", 1.5),
+            ("threads", True),
+            ("n_starts", 2.5),
+            ("seed", 1.5),
+            ("tau", "0.01"),
+        ):
+            with pytest.raises(ConfigurationError, match=key):
+                SolveConfig(**{key: value})
 
 
     def test_negative_seed(self):
@@ -680,7 +694,6 @@ class TestFitInstanton:
         assert fit.fit is None
         assert not fit.boundary_flag
         assert np.isnan(fit.w_norm)
-        assert "skipped" in fit.message
 
     def test_south_pole_mirrored(self):
         g = build_grid(5, 1.0, 128, 128)
