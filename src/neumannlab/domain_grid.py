@@ -180,7 +180,11 @@ class AxiGrid:
         The exponents are tied: q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2).  So
         one power s = |u_g|^(2/(N-2)) gives all three masses as
         sum w u_g^2 s^k, k = 0, 1, 2, and the derivative as the single
-        adjoint of w u_g (2 k0 + q k1 s + 2* k2 s^2).
+        adjoint of w u_g (2 k0 + q k1 s + 2* k2 s^2).  A pass holds three
+        Gauss-point planes: the corner stack, spent once u_g is formed,
+        holds s and then the adjoint; u_g's own plane becomes
+        w u_g^2 s^k and then the derivative's weights; the third keeps
+        w u_g.
 
         Nodal lumping would overestimate these for peaked fields (the
         powers are convex), which lets under-resolved bumps undervalue
@@ -190,9 +194,9 @@ class AxiGrid:
         N = self.N
         corners = np.stack([values[c] for c in _CORNERS]).reshape(4, -1)
         ug = (_GAUSS_BLOCK @ corners).reshape(self.gauss_w.shape)
-        # the Gauss-point temporaries share one block: s, w u_g, w u_g^2 s^k
-        work = np.empty((3,) + ug.shape)
-        s, wu, wus = work
+        # three Gauss-point planes: the spent corner stack takes s, u_g's
+        # own plane w u_g^2 s^k, and wu keeps w u_g for the derivative
+        s = corners.reshape(ug.shape)
         if N == 5:
             # |u|^(2/3) as cbrt(u^2): no slow path at u = 0, unlike pow
             np.multiply(ug, ug, out=s)
@@ -200,8 +204,8 @@ class AxiGrid:
         else:
             np.abs(ug, out=s)
             np.power(s, 2.0 / (N - 2), out=s)
-        np.multiply(self.gauss_w, ug, out=wu)
-        np.multiply(wu, ug, out=wus)
+        wu = self.gauss_w * ug
+        wus = np.multiply(wu, ug, out=ug)
         mass2 = float(wus.sum())
         trace = float(np.vdot(wus, s))
         wus *= s
@@ -210,16 +214,16 @@ class AxiGrid:
             return masses
         k0, k1, k2 = combine(masses)
         q, p = 2.0 * (N - 1) / (N - 2), 2.0 * N / (N - 2)
-        # Horner in s: w u_g (2 k0 + s (q k1 + s 2* k2)), reusing the spent row
+        # Horner in s: w u_g (2 k0 + s (q k1 + s 2* k2)), in the spent wus
         np.multiply(s, p * k2, out=wus)
         wus += q * k1
         wus *= s
         wus += 2.0 * k0
         wus *= wu
-        # the adjoint: the transposed block into the spent corner stack
+        # the adjoint: the transposed block into the spent s plane
         np.matmul(_GAUSS_BLOCK.T, wus.reshape(4, -1), out=corners)
         deriv = np.zeros_like(values)
-        for c, h in zip(_CORNERS, corners.reshape(ug.shape)):
+        for c, h in zip(_CORNERS, s):
             deriv[c] += h
         return masses, deriv
 
@@ -398,25 +402,35 @@ def norm_gradients(field: Field, params: ProblemParams, coefficients):
     return rep, deriv
 
 
-def energy_operator(grid: AxiGrid, a: float) -> sparse.csr_matrix:
+def energy_operator(grid: AxiGrid, a: float) -> sparse.dia_matrix:
     """Sparse symmetric Q with u^T Q u = |grad u|_2^2 + a |u|_2^2.
 
     Q = K_r (x) D_theta + D_r3 (x) K_theta + a M_r (x) M_theta, from the
     grid's 1-D factors, which its edge coefficients and Gauss weights
     are outer products of; so the quadratic part of the functional is
     exactly u^T Q u, and the consistent mass makes Q strictly definite.
+
+    Q is stored by its nine diagonals, in ascending offset order, with
+    no index arrays.  Its product then sums each row in the column order
+    of ``Q.tocsr()``, whose product it reproduces bit for bit; a direct
+    solve factorizes ``Q.tocsc()``.
     """
     if not a > 0:
         raise DomainError(f"a > 0 required, got {a}")
     n_r, n_th = grid.n_r, grid.n_theta
     (k_r, d_r3, m_r), (k_th, d_th, m_th) = grid.radial, grid.angular
-    # bands[m][i, j] couples node (i, j) to node (i + di, j + dj), which
-    # is offsets[m] = di n_th + dj further on in row-major order.  There
-    # the band of A (x) B is outer(A_di, B_|dj|), with A_0 the main and A_1
-    # the off diagonal; the diagonal D reaches no neighbor on its own axis.
+    # The band of offset k = di n_th + dj couples node p = (i, j) to node
+    # p + k = (i + di, j + dj) in row-major order; there the band of
+    # A (x) B is outer(A_di, B_|dj|), with A_0 the main and A_1 the off
+    # diagonal, and the diagonal D reaches no neighbor on its own axis.
+    # Diagonal k of a DIA matrix keeps entry (p, p + k) in column p + k,
+    # so the bands themselves are diagonals -k (rows 0..4 of ``data``,
+    # zero past the last node they couple), and diagonals +k are them
+    # shifted k columns on.
     offsets = (0, 1, n_th - 1, n_th, n_th + 1)
-    bands = np.zeros((len(offsets), n_r, n_th))
-    diag, right, down_left, down, down_right = bands
+    n = n_r * n_th
+    data = np.zeros((2 * len(offsets) - 1, n))
+    down_right, down, down_left, right, diag = data[:len(offsets)].reshape(len(offsets), n_r, n_th)
     diag += np.outer(k_r[0], d_th[0])
     diag += np.outer(d_r3[0], k_th[0])
     diag += np.outer(a * m_r[0], m_th[0])
@@ -425,9 +439,11 @@ def energy_operator(grid: AxiGrid, a: float) -> sparse.csr_matrix:
     down[:-1] = np.outer(k_r[1], d_th[0])
     down[:-1] += np.outer(a * m_r[1], m_th[0])
     down_right[:-1, :-1] = down_left[:-1, 1:] = np.outer(a * m_r[1], m_th[1])
-    n = n_r * n_th
-    upper = [band.ravel()[: n - k] for band, k in zip(bands, offsets)]
-    return sparse.diags(upper + upper[1:], offsets + tuple(-k for k in offsets[1:]), format="csr")
+    for m, k in enumerate(offsets[1:], 1):
+        data[4 + m, k:] = data[4 - m, : n - k]
+    return sparse.dia_matrix(
+        (data, tuple(-k for k in offsets[:0:-1]) + offsets), shape=(n, n)
+    )
 
 
 def interpolate_instanton(grid: AxiGrid, inst: InstantonParams) -> Field:
@@ -465,13 +481,13 @@ def save_field_snapshot(field: Field, csv_path, json_path) -> None:
         )
         fh.write("\n")
     # one row per node, r major; CRLF rows as the csv module writes them.
-    # Each axis coordinate is formatted once, not once per row it heads
-    th_txt = ["%.17g," % th for th in g.theta.tolist()]
+    # Each axis coordinate is formatted once, not once per row it heads,
+    # and each r-row's values by one % on a template of its n_theta rows
+    th_txt = [""] + ["%.17g,%%.17g\r\n" % th for th in g.theta.tolist()]
     with open(csv_path, "w", newline="") as fh:
         fh.write("r,theta,value\r\n")
         for r, row in zip(g.r.tolist(), field.values.tolist()):
-            r_txt = "%.17g," % r
-            fh.write("".join([r_txt + t + "%.17g\r\n" % v for t, v in zip(th_txt, row)]))
+            fh.write(("%.17g," % r).join(th_txt) % tuple(row))
 
 
 def load_field_snapshot(csv_path, json_path) -> Field:

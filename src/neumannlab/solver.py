@@ -45,7 +45,9 @@ the run solves with a sparse LU of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
 all its solves at fixed alpha, and each solve reads its Euler-Lagrange
-residual from the winning descent's final dual norm.  One SolveConfig
+residual from the winning descent's final dual norm.  A run on one
+worker opens no pool: its descents run in the calling thread, one
+after another, and give the same bytes a pool does.  One SolveConfig
 holds all of a run's settings, the worker count included; its fields
 and defaults are those of the CLI's solver config keys.
 """
@@ -56,8 +58,9 @@ import math
 import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -590,15 +593,25 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, po
     )
 
 
+# the calling thread as a one-worker pool
+_CALLING_THREAD = SimpleNamespace(map=map)
+
+
 @contextmanager
 def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
     """Yield solve(alpha, warm=None) for one run: one Q^{-1} solver and
-    one pool of ``config.threads`` workers serve every solve.  A cold
-    solve starts from default_starts, a warm one from
-    [warm, constant, *restarts]."""
+    one pool of ``config.threads`` workers serve every solve.  One worker
+    is the calling thread itself, which descends from the starts in turn
+    and opens no pool, so the run holds no second thread's allocator
+    arena and BLAS buffer.  A cold solve starts from default_starts, a
+    warm one from [warm, constant, *restarts]."""
     solve_q = _energy_solver(grid, base_params.a)
     constant = Field.constant(grid, 1.0)
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    if config.threads == 1:
+        workers = nullcontext(_CALLING_THREAD)
+    else:
+        workers = ThreadPoolExecutor(max_workers=config.threads)
+    with workers as pool:
 
         def solve(alpha: float, warm: Optional[Field] = None) -> SolveResult:
             params = replace(base_params, alpha=alpha)

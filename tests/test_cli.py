@@ -662,11 +662,10 @@ class TestThreads:
     def test_threaded_result_matches_serial(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 1.0\n")
         o1, o2 = tmp_path / "s", tmp_path / "p"
-        cli.run("minimize", config_path=cfg, output_dir=str(o1), threads=1)
-        cli.run("minimize", config_path=cfg, output_dir=str(o2), threads=2)
-        r1 = json.loads((o1 / "result.json").read_text())
-        r2 = json.loads((o2 / "result.json").read_text())
-        assert r1["S_alpha_est"] == r2["S_alpha_est"]
+        assert cli.run("minimize", config_path=cfg, output_dir=str(o1), threads=1) == 0
+        assert cli.run("minimize", config_path=cfg, output_dir=str(o2), threads=2) == 0
+        # the calling thread and the pool write the same bytes
+        assert (o1 / "result.json").read_text() == (o2 / "result.json").read_text()
 
 
     @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestAxisFactors:
     )
     def test_energy_operator_is_the_kronecker_form(self, shape, stretch):
         g = build_grid(5, 1.0, *shape, stretch=stretch)
-        q = energy_operator(g, 1.3)
+        q = energy_operator(g, 1.3).tocsr()
         want = _kron_energy_operator(g, 1.3)
         q.sort_indices()
         want.sort_indices()
@@ -377,6 +378,25 @@ class TestPowerMasses:
         assert np.all(want[6:19, 11:29] == 0.0) and np.all(got[6:19, 11:29] == 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
+    def test_gradient_pass_holds_three_gauss_planes(self):
+        # one derivative pass allocates three Gauss-point planes and a few
+        # nodal arrays at its peak, where five planes do not fit
+        g = build_grid(5, 1.0, 128, 128, stretch=4.0)
+        p = make_params(5, 1.0, 1.0)
+        f = Field(g, 0.1 + np.random.default_rng(3).random((128, 128)))
+        unit = lambda triple: (1.0, 1.0, 1.0)  # noqa: E731
+        norm_gradients(f, p, unit)
+        tracemalloc.start()
+        try:
+            norm_gradients(f, p, unit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        plane, nodal = g.gauss_w.nbytes, f.values.nbytes
+        bound = 3 * plane + 4 * nodal
+        assert bound < 5 * plane
+        assert peak <= bound
+
     def test_operator_shape(self, grid64s):
         # one plane of weights per Gauss point, one per cell; the sparse
         # oracle G has four corners a row and reproduces a constant exactly
@@ -514,7 +534,7 @@ class TestEnergyOperator:
         assert float(x @ (q @ x)) == pytest.approx(rep.grad2 + 1.7 * rep.mass2, rel=1e-12)
 
     def test_symmetric_positive(self, grid64):
-        q = energy_operator(grid64, 1.0)
+        q = energy_operator(grid64, 1.0).tocsr()
         assert abs(q - q.T).max() < 1e-12
         rng = np.random.default_rng(5)
         for _ in range(4):
@@ -525,7 +545,7 @@ class TestEnergyOperator:
     def test_matches_sparse_oracle(self, shape, stretch):
         # the nine-band assembly against kron stiffness plus G^T diag(a w) G
         g = build_grid(5, 1.0, *shape, stretch=stretch)
-        q = energy_operator(g, 1.3)
+        q = energy_operator(g, 1.3).tocsr()
         want = _sparse_energy_operator(g, 1.3)
         q.sort_indices()
         want.sort_indices()
@@ -536,6 +556,34 @@ class TestEnergyOperator:
     def test_bad_coefficient(self, grid64):
         with pytest.raises(DomainError):
             energy_operator(grid64, 0.0)
+
+    def test_stored_by_ascending_diagonals(self, grid64s):
+        # nine diagonals and no index arrays
+        q = energy_operator(grid64s, 1.3)
+        assert q.format == "dia"
+        assert len(q.offsets) == 9 and np.all(np.diff(q.offsets) > 0)
+        assert q.data.shape == (9, 64 * 64)
+
+    @pytest.mark.parametrize(
+        "N, shape, stretch",
+        [(5, (96, 96), 4.0), (5, (128, 128), 4.0), (5, (256, 256), 4.0), (7, (40, 36), 2.0)],
+    )
+    def test_product_is_the_csr_product_bit_for_bit(self, N, shape, stretch):
+        # the diagonals sum each row in the oracle's column order, so the
+        # product is that of the CSR form, whose pattern the oracle has
+        g = build_grid(N, 1.0, *shape, stretch=stretch)
+        q = energy_operator(g, 1.3)
+        assert q.format == "dia"
+        csr = q.tocsr()
+        want = _sparse_energy_operator(g, 1.3)
+        want.sort_indices()
+        assert csr.has_sorted_indices
+        assert np.array_equal(csr.indptr, want.indptr)
+        assert np.array_equal(csr.indices, want.indices)
+        rng = np.random.default_rng(N + shape[0])
+        for _ in range(3):
+            x = rng.standard_normal(q.shape[0])
+            assert (q @ x).tobytes() == (csr @ x).tobytes()
 
 
 class TestSpikeCost:
@@ -632,6 +680,22 @@ class TestSnapshots:
                     writer.writerow(
                         ["%.17g" % g.r[i], "%.17g" % g.theta[j], "%.17g" % f.values[i, j]]
                     )
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_bytes_match_the_row_listcomp_writer(self, tmp_path):
+        # the one-template-per-row body against the per-node formatting
+        # it replaced, on a 256^2 field
+        g = build_grid(5, 1.0, 256, 256, stretch=4.0)
+        rng = np.random.default_rng(11)
+        f = Field(g, rng.standard_normal((256, 256)) * 10.0 ** rng.integers(-30, 30, (256, 256)))
+        f.values[3, :7] = -0.0
+        save_field_snapshot(f, tmp_path / "f.csv", tmp_path / "f.json")
+        th_txt = ["%.17g," % th for th in g.theta.tolist()]
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            fh.write("r,theta,value\r\n")
+            for r, row in zip(g.r.tolist(), f.values.tolist()):
+                r_txt = "%.17g," % r
+                fh.write("".join([r_txt + t + "%.17g\r\n" % v for t, v in zip(th_txt, row)]))
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_truncated_csv_rejected(self, tmp_path):

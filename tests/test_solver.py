@@ -1,5 +1,6 @@
 """Descent machinery: gradients, multistart minimization, sweeps, threshold."""
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -487,10 +488,16 @@ class TestMinimize:
         assert r1.S_alpha_est == r2.S_alpha_est  # bit identical
 
     def test_threads_agree_with_serial(self, grid64):
+        # the calling thread and a pool of three give the same bits
         p = make_params(5, 1.0, 2.6)
         r1 = minimize(p, quick_config(max_iters=60, threads=1), grid64)
         r2 = minimize(p, quick_config(max_iters=60, threads=3), grid64)
         assert r1.S_alpha_est == r2.S_alpha_est
+        assert r1.minimizer.values.tobytes() == r2.minimizer.values.tobytes()
+        # repr round-trips every double, signed zeros included
+        assert len(r1.starts) == 4
+        assert repr(r1.starts) == repr(r2.starts)
+        assert repr(r1.start_values) == repr(r2.start_values)
 
     def test_concentration_diagnostics(self, grid64):
         res = minimize(make_params(5, 1.0, 3.0), quick_config(), grid64)
@@ -554,7 +561,21 @@ class TestContinuation:
         grid = build_grid(5, 1.0, 32, 32, stretch=2.0)
         out = estimate_alpha0(make_params(5, 1.0, 0.0), quick_config(max_iters=150), grid, (2.0, 3.5))
         assert len(out.evaluations) >= 8
-        assert counts == {"pools": 1, "factorizations": 1}
+        assert counts == {"pools": 0, "factorizations": 1}
+
+    def test_one_worker_descends_in_the_calling_thread(self, counts, monkeypatch, grid48):
+        threads = []
+        real_descend = solver._descend
+
+        def descend(*args):
+            threads.append(threading.get_ident())
+            return real_descend(*args)
+
+        monkeypatch.setattr(solver, "_descend", descend)
+        res = minimize(make_params(5, 1.0, 2.0), quick_config(max_iters=5, threads=1), grid48)
+        assert len(res.starts) == 4
+        assert threads == [threading.get_ident()] * 4
+        assert counts == {"pools": 0, "factorizations": 1}
 
     def test_reported_residual_is_independent_residual(self, grid48):
         # read from the winner's final dual norm, the residual agrees with
