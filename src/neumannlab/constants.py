@@ -62,12 +62,12 @@ class ProblemParams:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise DomainError(f"a > 0 required, got {self.a}")
-        if self.alpha < 0:
-            raise DomainError(f"alpha >= 0 required, got {self.alpha}")
-        if not self.radius > 0:
-            raise DomainError(f"radius > 0 required, got {self.radius}")
+        if not 0 < self.a < math.inf:
+            raise DomainError(f"finite a > 0 required, got {self.a}")
+        if not 0 <= self.alpha < math.inf:
+            raise DomainError(f"finite alpha >= 0 required, got {self.alpha}")
+        if not 0 < self.radius < math.inf:
+            raise DomainError(f"finite radius > 0 required, got {self.radius}")
 
     @property
     def N(self) -> int:

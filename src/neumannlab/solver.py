@@ -71,7 +71,7 @@ from scipy.sparse.linalg import splu
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
 from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms
 from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure
-from .instanton import InstantonParams
+from .instanton import InstantonParams, u_value
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
 
 
@@ -487,66 +487,68 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     length delta_M = M^{-2/(N-2)}, whether P is a boundary node, and the
     least-squares bubble fit (C, eps) there.
 
-    The distance minimized is the gradient seminorm of the difference,
-    the same distance the diagnostics quote as w_norm: the residual is
+    The bubble is centred at the boundary pole in the peak's hemisphere,
+    by each node's distance to it; the field is never mirrored, so either
+    pole fits alike on a stretched grid.  The distance minimized is the
+    gradient seminorm of the difference, quoted as w_norm: the residual is
     the difference's edge differences, weighted by the square roots of
-    the edge coefficients, which are taken once per fit.  The center is
-    pinned to the north-pole boundary point; an interior (or off-axis)
-    maximum means the field is not concentrating there, and the fit is
+    the edge coefficients.  It is linear in C, so C is projected out in
+    closed form, <t, b> / <b, b> for the edge parts t of the field and b
+    of the unit bubble, and a bounded search in log eps, taken about the
+    blow-up length so that its tolerance is absolute, minimizes the rest
+    (variable projection: Golub & Pereyra 1973).  A peak far from both
+    poles means the field is not concentrating there, and the fit is
     skipped, not forced: ``fit`` and ``w_norm`` are None and nan.
     """
     grid = field.grid
     i, j = np.unravel_index(int(np.argmax(field.values)), field.values.shape)
     M = float(field.values[i, j])
     delta_M = M ** (-2.0 / (grid.N - 2))
-    r_i, th_j = float(grid.r[i]), float(grid.theta[j])
     skipped = BlowupDiagnostics(
         M=M,
         delta_M=delta_M,
-        P=(r_i, th_j),
+        P=(float(grid.r[i]), float(grid.theta[j])),
         fit=None,
         w_norm=float("nan"),
         boundary_flag=bool(i == grid.n_r - 1),
     )
     # the argmax of a noisy concentrating profile wanders within the
     # bubble core (many stretched nodes fit inside it), so gate on the
-    # physical distance from the peak to the nearer pole corner, scaled
-    # by the blow-up length
-    cross = 2.0 * r_i * grid.R * math.cos(th_j)
-    d2_north = r_i**2 + grid.R**2 - cross
-    d2_south = r_i**2 + grid.R**2 + cross
-    dist = math.sqrt(min(d2_north, d2_south))
-    if dist > min(max(2.0 * delta_M, 4.0 * grid.min_boundary_spacing), 0.2 * grid.R):
+    # physical distance from the peak to the nearer pole, scaled by the
+    # blow-up length
+    r = grid.r[:, None]
+    cross = 2.0 * r * grid.R * np.cos(grid.theta)
+    if cross[i, j] < 0.0:
+        cross = -cross
+    dist = np.sqrt(np.maximum(r**2 + grid.R**2 - cross, 0.0))
+    if dist[i, j] > min(max(2.0 * delta_M, 4.0 * grid.min_boundary_spacing), 0.2 * grid.R):
         return skipped
-    if d2_south < d2_north:
-        # mirror so the peak sits at theta = 0
-        field = Field(grid, field.values[:, ::-1])
     eps_floor = max(2.0 * grid.min_boundary_spacing, 1e-12)
     w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
 
-    def residual(x):
-        C, eps = x
-        bubble = interpolate_instanton(grid, InstantonParams(max(eps, eps_floor), amplitude=max(C, 1e-12)))
-        diff = field.values - bubble.values
+    def edges(values):
         return np.concatenate(
-            [(w_r * np.diff(diff, axis=0)).ravel(), (w_theta * np.diff(diff, axis=1)).ravel()]
+            [(w_r * np.diff(values, axis=0)).ravel(), (w_theta * np.diff(values, axis=1)).ravel()]
         )
 
-    x0 = np.array([1.0, max(delta_M, eps_floor)])
-    sol = optimize.least_squares(
-        residual,
-        x0,
-        bounds=([0.0, eps_floor], [np.inf, grid.R]),
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
+    target = edges(field.values)
+
+    def projected(x):  # x = log(eps / delta_M)
+        eps = delta_M * math.exp(x)
+        b = edges(eps ** (-(grid.N - 2) / 2.0) * u_value(dist / eps, grid.N))
+        C = max(float(target @ b) / float(b @ b), 1e-12)
+        return InstantonParams(eps=eps, amplitude=C), float(np.linalg.norm(target - C * b))
+
+    # the squared distance, smooth at an exact fit, where the distance
+    # itself has a kink the search's parabolic steps cannot follow
+    sol = optimize.minimize_scalar(
+        lambda x: projected(x)[1] ** 2,
+        bounds=(math.log(eps_floor / delta_M), math.log(grid.R / delta_M)),
+        method="bounded",
+        options={"xatol": 1e-12},
     )
-    C_fit, eps_fit = sol.x
-    return replace(
-        skipped,
-        fit=InstantonParams(eps=float(max(eps_fit, eps_floor)), amplitude=float(max(C_fit, 1e-12))),
-        w_norm=float(np.linalg.norm(sol.fun)),
-    )
+    fit, w_norm = projected(sol.x)
+    return replace(skipped, fit=fit, w_norm=w_norm)
 
 
 def _resolvable_bubble(grid: AxiGrid, frac: float) -> Field:

@@ -146,6 +146,15 @@ def test_params_validation():
     assert p.mean_curvature == 0.5
 
 
+@pytest.mark.parametrize("key", ["a", "alpha", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_nonfinite(key, value):
+    kw = dict(N=5, a=1.0, alpha=1.0, radius=1.0)
+    kw[key] = value
+    with pytest.raises(DomainError, match=rf"finite {key} "):
+        C.make_params(**kw)
+
+
 def _kappa_by_bisection(N, a, alpha):
     ex = C.Exponents(N)
     ts, tt = float(ex.two_star), float(ex.two_tilde)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 from scipy.sparse.linalg import splu
 
 from neumannlab.constants import (
@@ -31,7 +31,7 @@ from neumannlab.errors import (
     DomainError,
     NumericalFailure,
 )
-from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy
+from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy, u_value
 from neumannlab.nehari import project_t, psi_from_projection
 from neumannlab import solver
 from neumannlab.solver import (
@@ -689,6 +689,58 @@ class TestEnergySolver:
             _energy_solver(grid48, 1.0)(b)
 
 
+def _least_squares_fit(field: Field):
+    """(C, eps, w_norm) by a bounded 2-parameter least_squares fit with a
+    2-point Jacobian, the fit fit_instanton made before C was projected
+    out.  The bubble is centred at the north pole, where each field this
+    oracle is given peaks."""
+    grid = field.grid
+    delta_M = float(field.values.max()) ** (-2.0 / (grid.N - 2))
+    eps_floor = max(2.0 * grid.min_boundary_spacing, 1e-12)
+    w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
+
+    def residual(x):
+        C, eps = x
+        bubble = interpolate_instanton(grid, InstantonParams(max(eps, eps_floor), amplitude=max(C, 1e-12)))
+        diff = field.values - bubble.values
+        return np.concatenate(
+            [(w_r * np.diff(diff, axis=0)).ravel(), (w_theta * np.diff(diff, axis=1)).ravel()]
+        )
+
+    sol = optimize.least_squares(
+        residual,
+        np.array([1.0, max(delta_M, eps_floor)]),
+        bounds=([0.0, eps_floor], [np.inf, grid.R]),
+        xtol=1e-12,
+        ftol=1e-12,
+        gtol=1e-12,
+    )
+    return max(sol.x[0], 1e-12), max(sol.x[1], eps_floor), float(np.linalg.norm(sol.fun))
+
+
+def _south_pole_bubble(grid: AxiGrid, eps: float) -> Field:
+    """The unit bubble of scale eps centred at the south-pole boundary
+    point (r, theta) = (R, pi)."""
+    r = grid.r[:, None]
+    dist = np.sqrt(np.maximum(r**2 + grid.R**2 + 2.0 * r * grid.R * np.cos(grid.theta), 0.0))
+    return Field(grid, eps ** (-(grid.N - 2) / 2.0) * u_value(dist / eps, grid.N))
+
+
+def _fit_oracle_field(kind):
+    g = build_grid(5, 1.0, 128, 128, stretch=3.0)
+    f = interpolate_instanton(g, InstantonParams(eps=0.05))
+    if kind == "self":
+        return f
+    if kind == "noisy":
+        rng = np.random.default_rng(13)
+        return Field(g, f.values * (1.0 + 0.01 * rng.standard_normal(f.values.shape)))
+    # a minimizer on the bubble branch, rescaled onto the Nehari manifold
+    # as the run fits it
+    g = build_grid(5, 1.0, 96, 96, stretch=4.0)
+    res = minimize(make_params(5, 1.0, 3.0), SolveConfig(), g)
+    return Field(g, project_t(res.triple) * res.minimizer.values)
+
+
 class TestFitInstanton:
     def test_self_fit(self):
         g = build_grid(5, 1.0, 128, 128, stretch=3.0)
@@ -716,13 +768,30 @@ class TestFitInstanton:
         assert not fit.boundary_flag
         assert np.isnan(fit.w_norm)
 
-    def test_south_pole_mirrored(self):
-        g = build_grid(5, 1.0, 128, 128)
-        f = interpolate_instanton(g, InstantonParams(eps=0.08))
-        mirrored = Field(g, f.values[:, ::-1])
-        fit = fit_instanton(mirrored)
+    @pytest.mark.parametrize(
+        "stretch, eps", [(0.0, 0.08), (3.0, 0.08), (3.0, 0.2), (4.0, 0.08), (4.0, 0.2)]
+    )
+    def test_south_pole_mirrored(self, stretch, eps):
+        # a stretched grid's theta nodes are not symmetric about pi/2, so
+        # the bubble must be centred at the south pole, not mirrored there
+        g = build_grid(5, 1.0, 128, 128, stretch=stretch)
+        fit = fit_instanton(_south_pole_bubble(g, eps))
         assert fit.fit is not None
-        assert fit.fit.eps == pytest.approx(0.08, abs=1e-3)
+        assert fit.fit.eps == pytest.approx(eps, abs=1e-3)
+        assert fit.fit.amplitude == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("kind", ["self", "noisy", "minimizer"])
+    def test_matches_least_squares_oracle(self, kind):
+        field = _fit_oracle_field(kind)
+        C, eps, w_norm = _least_squares_fit(field)
+        fit = fit_instanton(field)
+        assert fit.fit is not None
+        # at an exact fit both distances are round-off, which the floor,
+        # 1e-12 of the field's own seminorm, absorbs
+        floor = 1e-12 * np.sqrt(field.grid.gradient_energy(field.values))
+        assert fit.w_norm <= max(w_norm, floor) * (1.0 + 1e-10)
+        assert fit.fit.eps == pytest.approx(eps, rel=1e-6)
+        assert fit.fit.amplitude == pytest.approx(C, rel=1e-6)
 
 
 class TestEulerLagrange:
