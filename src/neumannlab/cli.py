@@ -331,7 +331,7 @@ def _run_nehari_check(cfg, ctx):
             triple = NormTriple(
                 *(_finite_float(row[k]) for k in ("a_bar", "b", "c")), _int(row["N"])
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             raise ConfigurationError(f"triples row {idx}: {exc}") from exc
         level = big_I(triple)
         lb = lower_bound(triple)

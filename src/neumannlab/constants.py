@@ -212,6 +212,7 @@ def I_alpha_of_one(params: ProblemParams, volume: float) -> float:
 
 def snapshot(N: int, mean_curvature: float = 1.0) -> dict:
     """Constant pack reported by the CLI and embedded in run manifests."""
+    Exponents(N)  # range check on N, before the Gamma factors overflow
     c1, c2 = cbar_coefficients(N, mean_curvature)
     return {
         "N": N,

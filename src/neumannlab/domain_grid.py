@@ -31,9 +31,9 @@ one plane per Gauss point.  The paper's exponents
 are tied, q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2), so one power
 s = |u_g|^(2/(N-2)) gives the masses of u^2, |u|^q and |u|^2* as
 sum w u_g^2 s^k, k = 0, 1, 2.  A pass makes one block product and that
-one power; a derivative pass adds one adjoint (the transposed block and
-four slice-adds) for any linear combination of the three mass
-derivatives, which is all the first variation needs.
+one power, and returns a single-use pullback: one adjoint (the
+transposed block and four slice-adds) for any linear combination of the
+three mass derivatives, which is all the first variation needs.
 
 The gradient energy differences along cell edges: each term is the
 second-order centered derivative at an edge midpoint, squared, times the
@@ -168,14 +168,13 @@ class AxiGrid:
         dt = values[:, 1:] - values[:, :-1]
         return float(np.sum(self.r_edge_coeff * dr * dr) + np.sum(self.theta_edge_coeff * dt * dt))
 
-    def power_masses(self, values: np.ndarray, combine=None):
+    def power_masses(self, values: np.ndarray):
         """(int u^2, int |u|^q, int |u|^2*) with u the bilinear interpolant,
         q = 2(N-1)/(N-2) and 2* = 2N/(N-2), by per-cell Gauss points
-        whose weights are normalized to the exact cell measure.
-
-        With ``combine``, a function of those three masses returning
-        weights (k0, k1, k2), also the nodal derivative of
-        k0 int u^2 + k1 int |u|^q + k2 int |u|^2*, as ``(masses, derivative)``.
+        whose weights are normalized to the exact cell measure, as
+        ``(masses, pullback)``.  ``pullback(k0, k1, k2)`` returns the nodal
+        derivative of k0 int u^2 + k1 int |u|^q + k2 int |u|^2*.  It spends
+        the pass's planes in place and drops them, so a second call raises.
 
         The exponents are tied: q - 2 = 2/(N-2) and 2* - 2 = 2(q - 2).  So
         one power s = |u_g|^(2/(N-2)) gives all three masses as
@@ -210,22 +209,29 @@ class AxiGrid:
         trace = float(np.vdot(wus, s))
         wus *= s
         masses = (mass2, trace, float(np.vdot(wus, s)))
-        if combine is None:
-            return masses
-        k0, k1, k2 = combine(masses)
-        q, p = 2.0 * (N - 1) / (N - 2), 2.0 * N / (N - 2)
-        # Horner in s: w u_g (2 k0 + s (q k1 + s 2* k2)), in the spent wus
-        np.multiply(s, p * k2, out=wus)
-        wus += q * k1
-        wus *= s
-        wus += 2.0 * k0
-        wus *= wu
-        # the adjoint: the transposed block into the spent s plane
-        np.matmul(_GAUSS_BLOCK.T, wus.reshape(4, -1), out=corners)
-        deriv = np.zeros_like(values)
-        for c, h in zip(_CORNERS, s):
-            deriv[c] += h
-        return masses, deriv
+        planes = [corners, wus, wu]
+
+        def pullback(k0, k1, k2):
+            if not planes:
+                raise RuntimeError("a power-mass pullback is single-use")
+            corners, wus, wu = planes
+            planes.clear()
+            s = corners.reshape(wus.shape)
+            q, p = 2.0 * (N - 1) / (N - 2), 2.0 * N / (N - 2)
+            # Horner in s: w u_g (2 k0 + s (q k1 + s 2* k2)), in the spent wus
+            np.multiply(s, p * k2, out=wus)
+            wus += q * k1
+            wus *= s
+            wus += 2.0 * k0
+            wus *= wu
+            # the adjoint: the transposed block into the spent s plane
+            np.matmul(_GAUSS_BLOCK.T, wus.reshape(4, -1), out=corners)
+            deriv = np.zeros_like(values)
+            for c, h in zip(_CORNERS, s):
+                deriv[c] += h
+            return deriv
+
+        return masses, pullback
 
 
 @np.errstate(all="ignore")  # a stretch that breaks the grid is rejected below
@@ -344,62 +350,48 @@ class NormReport:
     trace_mass: float
 
 
-def _checked_values(field: Field, params: ProblemParams) -> np.ndarray:
-    if field.grid.N != params.N:
-        raise DomainError(f"grid dimension {field.grid.N} != params dimension {params.N}")
-    if not np.any(field.values != 0.0):
-        raise DegenerateInputError("zero field has no norms")
-    return field.values
-
-
-def _report(params: ProblemParams, grad2: float, masses) -> NormReport:
-    mass2, trace, critical = masses
-    triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, params.N)
-    return NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
-
-
-def norms(field: Field, params: ProblemParams) -> NormReport:
-    """Quadrature norms entering I_alpha.
+def norm_gradients(field: Field, params: ProblemParams):
+    """Quadrature norms entering I_alpha, as ``(report, pullback)`` from
+    one kernel pass.
 
     The gradient energy uses |grad u|^2 = u_r^2 + r^{-2} u_theta^2 with
     both derivatives taken as second-order centered differences at edge
     midpoints; no ghost nodes and no flux term, which is the discrete
     face of the natural boundary condition.  The power masses integrate
     the bilinear interpolant per cell rather than lumping nodal values.
+
+    The single-use ``pullback(c_a, c_b, c_c)`` returns the nodal derivative
+    c_a a_bar' + c_b b' + c_c c' of the report's triple, so the caller may
+    pick the weights from the report, as the projection multiplier of the
+    first variation does; unit weights give one derivative alone.
     """
-    u = _checked_values(field, params)
-    return _report(params, field.grid.gradient_energy(u), field.grid.power_masses(u))
-
-
-def norm_gradients(field: Field, params: ProblemParams, coefficients):
-    """The field's NormReport and the nodal derivative
-    c_a a_bar' + c_b b' + c_c c' of a combination of its triple, as
-    ``(report, derivative)``, from one kernel pass.
-
-    ``coefficients`` maps the pass's triple to (c_a, c_b, c_c), so the
-    weights may depend on the field itself, as the projection multiplier
-    of the first variation does; unit weights give one derivative alone.
-    """
-    u = _checked_values(field, params)
-    g = field.grid
+    g, u = field.grid, field.values
+    if g.N != params.N:
+        raise DomainError(f"grid dimension {g.N} != params dimension {params.N}")
+    if not np.any(u != 0.0):
+        raise DegenerateInputError("zero field has no norms")
     grad2 = g.gradient_energy(u)
-    rep = c_a = None
+    (mass2, trace, critical), mass_pullback = g.power_masses(u)
+    triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, params.N)
+    report = NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
 
-    def mass_weights(masses):
-        nonlocal rep, c_a
-        rep = _report(params, grad2, masses)
-        c_a, c_b, c_c = coefficients(rep.triple)
-        return params.a * c_a, params.alpha * c_b, c_c
+    def pullback(c_a, c_b, c_c):
+        deriv = mass_pullback(params.a * c_a, params.alpha * c_b, c_c)
+        # the stiffness stencil of grad2, scaled by c_a
+        fr = 2.0 * c_a * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
+        ft = 2.0 * c_a * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
+        deriv[1:, :] += fr
+        deriv[:-1, :] -= fr
+        deriv[:, 1:] += ft
+        deriv[:, :-1] -= ft
+        return deriv
 
-    _, deriv = g.power_masses(u, combine=mass_weights)
-    # the stiffness stencil of grad2, scaled by c_a
-    fr = 2.0 * c_a * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
-    ft = 2.0 * c_a * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
-    deriv[1:, :] += fr
-    deriv[:-1, :] -= fr
-    deriv[:, 1:] += ft
-    deriv[:, :-1] -= ft
-    return rep, deriv
+    return report, pullback
+
+
+def norms(field: Field, params: ProblemParams) -> NormReport:
+    """The report of ``norm_gradients``, whose pullback is dropped untaken."""
+    return norm_gradients(field, params)[0]
 
 
 def energy_operator(grid: AxiGrid, a: float) -> sparse.dia_matrix:

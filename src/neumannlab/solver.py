@@ -204,15 +204,6 @@ def evaluate_I(field: Field, params) -> float:
     return big_I(norms(field, params).triple)
 
 
-def _variation_coefficients(triple: NormTriple):
-    """Weights (t^2/2, t^tt/tt, -t^ts/ts) of (a_bar', b', c') in the first
-    variation, with t = t(u) the projection multiplier of the triple."""
-    t = project_t(triple)
-    ts = float(triple.exponents.two_star)
-    tt = float(triple.exponents.two_tilde)
-    return t**2 / 2.0, t**tt / tt, -(t**ts) / ts
-
-
 def _first_variation(field: Field, params):
     """The field's NormReport, its projection multiplier t, and the nodal
     first variation dPsi = t^2/2 a_bar' + t^tt/tt b' - t^ts/ts c' of the
@@ -223,8 +214,11 @@ def _first_variation(field: Field, params):
     gradient_I scales dPsi by its envelope prefactor, and the
     Euler-Lagrange residual measures dPsi / t.
     """
-    rep, d_psi = norm_gradients(field, params, _variation_coefficients)
-    return rep, project_t(rep.triple), d_psi
+    rep, pullback = norm_gradients(field, params)
+    t = project_t(rep.triple)
+    ts = float(rep.triple.exponents.two_star)
+    tt = float(rep.triple.exponents.two_tilde)
+    return rep, t, pullback(t**2 / 2.0, t**tt / tt, -(t**ts) / ts)
 
 
 def _envelope_prefactor(tr: NormTriple) -> float:

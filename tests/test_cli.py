@@ -171,6 +171,18 @@ class TestConstantsCommand:
         assert manifest["version"] == cli.__version__
         assert manifest["failure"] is None
 
+    @pytest.mark.parametrize("N, code", [("30", 0), ("31", 2), ("150", 2)])
+    def test_dimension_past_n_max(self, N, code, tmp_path, capsys):
+        # every subcommand takes N <= 30; past it nothing is written, even
+        # where the constants themselves would overflow
+        out = tmp_path / "run"
+        assert cli.run("constants", output_dir=str(out), overrides={"N": N}) == code
+        if code:
+            assert "N <= 30" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert json.loads((out / "manifest.json").read_text())["constants"]["N"] == 30
+
 
 class TestConfigRejection:
     def test_unknown_keys_listed(self, tmp_path, capsys):
@@ -585,8 +597,13 @@ class TestNehariCheckCommand:
         assert cli.run("nehari-check", overrides={"triples": str(triples)}) == 2
 
     def test_bad_row(self, tmp_path, capsys):
-        # a non-finite entry is rejected like a non-number, naming its row
-        for bad in ("1.0,0.5,frog,5", "1.0,nan,1.0,5", "1.0,0.5,inf,5", "1.0,0.5,1.0,5.0"):
+        # a non-finite entry is rejected like a non-number, and a triple
+        # outside its domain like a malformed one, naming its row
+        for bad in (
+            "1.0,0.5,frog,5", "1.0,nan,1.0,5", "1.0,0.5,inf,5", "1.0,0.5,1.0,5.0",
+            "1.0,0.5,-1.0,5", "1.0,-0.5,1.0,5", "0.0,0.5,1.0,5", "1.0,0.5,1.0,4",
+            "1.0,0.5,1.0,31",
+        ):
             triples = tmp_path / "t.csv"
             triples.write_text(f"a_bar,b,c,N\n1.0,0.5,1.0,5\n{bad}\n")
             out = tmp_path / "run"

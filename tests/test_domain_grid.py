@@ -16,11 +16,13 @@ from neumannlab.constants import (
     sphere_area,
 )
 from neumannlab.domain_grid import (
+    _CORNERS,
     _GAUSS_BLOCK,
     _LERP,
     _sin_power_segments,
     AxiGrid,
     Field,
+    NormReport,
     build_grid,
     energy_operator,
     interpolate_instanton,
@@ -36,7 +38,8 @@ from neumannlab.errors import (
     ResolutionError,
 )
 from neumannlab.instanton import CapQuadrature, InstantonParams, cap_gradient_integral, cap_integral
-from neumannlab.nehari import big_I
+from neumannlab.nehari import NormTriple, big_I, project_t
+from neumannlab.solver import _first_variation
 from neumannlab.instanton import u_value
 
 
@@ -86,7 +89,7 @@ class TestBuildGrid:
         # the in-cell weight split contributes error
         g = build_grid(5, 1.0, 256, 256)
         exact = ball_volume(5, 1.0) * 5.0 / 7.0  # int r^2 = vol * N/(N+2)
-        approx = g.power_masses(np.broadcast_to(g.r[:, None], g.mass.shape))[0]
+        approx = g.power_masses(np.broadcast_to(g.r[:, None], g.mass.shape))[0][0]
         assert abs(approx - exact) / exact < 1e-8
 
     def test_nodes_cover_closed_ranges(self, grid64):
@@ -329,10 +332,66 @@ def _kron_energy_operator(grid, a):
 
 def _unit_derivatives(grid, values):
     """The three mass derivatives one at a time, through unit weights."""
-    return [
-        grid.power_masses(values, combine=lambda masses, k=k: np.eye(3)[k])[1]
-        for k in range(3)
-    ]
+    return [grid.power_masses(values)[1](*np.eye(3)[k]) for k in range(3)]
+
+
+def _callback_power_masses(grid, values, combine):
+    """The power-mass pass as a callback: ``combine`` maps the masses to
+    the weights of the derivative, which the pass takes itself."""
+    N = grid.N
+    corners = np.stack([values[c] for c in _CORNERS]).reshape(4, -1)
+    ug = (_GAUSS_BLOCK @ corners).reshape(grid.gauss_w.shape)
+    s = corners.reshape(ug.shape)
+    if N == 5:
+        np.multiply(ug, ug, out=s)
+        np.cbrt(s, out=s)
+    else:
+        np.abs(ug, out=s)
+        np.power(s, 2.0 / (N - 2), out=s)
+    wu = grid.gauss_w * ug
+    wus = np.multiply(wu, ug, out=ug)
+    mass2 = float(wus.sum())
+    trace = float(np.vdot(wus, s))
+    wus *= s
+    masses = (mass2, trace, float(np.vdot(wus, s)))
+    k0, k1, k2 = combine(masses)
+    q, p = 2.0 * (N - 1) / (N - 2), 2.0 * N / (N - 2)
+    np.multiply(s, p * k2, out=wus)
+    wus += q * k1
+    wus *= s
+    wus += 2.0 * k0
+    wus *= wu
+    np.matmul(_GAUSS_BLOCK.T, wus.reshape(4, -1), out=corners)
+    deriv = np.zeros_like(values)
+    for c, h in zip(_CORNERS, s):
+        deriv[c] += h
+    return masses, deriv
+
+
+def _callback_pass(field, params, coefficients):
+    """The kernel pass with its weights as a callback: ``coefficients``
+    maps the pass's triple to (c_a, c_b, c_c), and the pass returns its
+    report with the derivative c_a a_bar' + c_b b' + c_c c'."""
+    g, u = field.grid, field.values
+    grad2 = g.gradient_energy(u)
+    rep = c_a = None
+
+    def mass_weights(masses):
+        nonlocal rep, c_a
+        mass2, trace, critical = masses
+        triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, params.N)
+        rep = NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
+        c_a, c_b, c_c = coefficients(rep.triple)
+        return params.a * c_a, params.alpha * c_b, c_c
+
+    _, deriv = _callback_power_masses(g, u, mass_weights)
+    fr = 2.0 * c_a * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
+    ft = 2.0 * c_a * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
+    deriv[1:, :] += fr
+    deriv[:-1, :] -= fr
+    deriv[:, 1:] += ft
+    deriv[:, :-1] -= ft
+    return rep, deriv
 
 
 class TestPowerMasses:
@@ -342,13 +401,15 @@ class TestPowerMasses:
         p = make_params(N, 1.0, 1.0)
         qs = (2.0, float(p.exponents.two_tilde), float(p.exponents.two_star))
         u = np.random.default_rng(N).standard_normal((40, 36))
-        masses = g.power_masses(u)
+        masses, _ = g.power_masses(u)
         want_masses, want_derivs = _corner_loop(g, u, qs)
         assert masses == pytest.approx(want_masses, rel=1e-12)
         for got, want in zip(_unit_derivatives(g, u), want_derivs):
             assert got.shape == u.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        assert g.power_masses(u, combine=lambda m: (1.0, 0.0, 0.0))[0] == masses
+        again, pullback = g.power_masses(u)
+        pullback(1.0, 0.0, 0.0)
+        assert again == masses
 
     @pytest.mark.parametrize("N", [5, 6, 7, 8])
     def test_exponent_identity(self, N):
@@ -364,31 +425,24 @@ class TestPowerMasses:
         u = rng.standard_normal((40, 36))
         u[5:20, 10:30] = 0.0
         weights = rng.standard_normal(3)
-        seen = []
-
-        def combine(masses):
-            seen.append(masses)
-            return weights
-
-        masses, got = g.power_masses(u, combine=combine)
+        masses, pullback = g.power_masses(u)
+        got = pullback(*weights)
         want_masses, want_derivs = _corner_loop(g, u, qs)
-        assert seen == [masses]
         assert masses == pytest.approx(want_masses, rel=1e-12)
         want = sum(k * d for k, d in zip(weights, want_derivs))
         assert np.all(want[6:19, 11:29] == 0.0) and np.all(got[6:19, 11:29] == 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_gradient_pass_holds_three_gauss_planes(self):
-        # one derivative pass allocates three Gauss-point planes and a few
-        # nodal arrays at its peak, where five planes do not fit
+        # one pass and its pullback allocate three Gauss-point planes and
+        # a few nodal arrays at their peak, where five planes do not fit
         g = build_grid(5, 1.0, 128, 128, stretch=4.0)
         p = make_params(5, 1.0, 1.0)
         f = Field(g, 0.1 + np.random.default_rng(3).random((128, 128)))
-        unit = lambda triple: (1.0, 1.0, 1.0)  # noqa: E731
-        norm_gradients(f, p, unit)
+        norm_gradients(f, p)[1](1.0, 1.0, 1.0)
         tracemalloc.start()
         try:
-            norm_gradients(f, p, unit)
+            norm_gradients(f, p)[1](1.0, 1.0, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -417,7 +471,8 @@ class TestPowerMasses:
         rng = np.random.default_rng(20 + N)
         u = rng.standard_normal((40, 36))
         k0, k1, k2 = rng.standard_normal(3)
-        masses, got = g.power_masses(u, combine=lambda m: (k0, k1, k2))
+        masses, pullback = g.power_masses(u)
+        got = pullback(k0, k1, k2)
 
         gauss = _sparse_gauss(g)
         ug = gauss @ u.ravel()
@@ -427,6 +482,59 @@ class TestPowerMasses:
         want = (gauss.T @ (w * ug * (2.0 * k0 + q * k1 * s + two_star * k2 * s**2))).reshape(u.shape)
         assert masses == pytest.approx(want_masses, rel=1e-15)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestOnePass:
+    """``norm_gradients`` is the one kernel pass: its report is what
+    ``norms`` returns, and its single-use pullback gives, to the bit, the
+    derivative the pass once took through a weights callback."""
+
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_pullback_matches_callback_pass(self, N):
+        g = build_grid(N, 1.0, 40, 36, stretch=2.5)
+        p = make_params(N, 1.3, 0.8)
+        rng = np.random.default_rng(30 + N)
+        f = Field(g, 0.6 + 0.25 * rng.standard_normal((40, 36)))
+        for _ in range(3):
+            weights = tuple(rng.standard_normal(3))
+            rep, pullback = norm_gradients(f, p)
+            want_rep, want = _callback_pass(f, p, lambda triple: weights)
+            assert rep == want_rep
+            assert np.array_equal(pullback(*weights), want)
+
+    @pytest.mark.parametrize("N", [5, 7])
+    def test_first_variation_matches_callback_pass(self, N):
+        g = build_grid(N, 1.0, 40, 36, stretch=2.5)
+        p = make_params(N, 1.0, 2.0)
+        f = Field(g, 0.6 + 0.25 * np.random.default_rng(40 + N).standard_normal((40, 36)))
+
+        def variation_weights(triple):
+            t = project_t(triple)
+            ts = float(triple.exponents.two_star)
+            tt = float(triple.exponents.two_tilde)
+            return t**2 / 2.0, t**tt / tt, -(t**ts) / ts
+
+        rep, t, got = _first_variation(f, p)
+        want_rep, want = _callback_pass(f, p, variation_weights)
+        assert rep == want_rep and t == project_t(want_rep.triple)
+        assert np.array_equal(got, want)
+
+    def test_norms_is_the_pass_report(self, grid64s):
+        p = make_params(5, 1.3, 0.8)
+        f = Field(grid64s, 0.6 + 0.25 * np.random.default_rng(12).standard_normal((64, 64)))
+        assert norms(f, p) == norm_gradients(f, p)[0]
+
+    def test_pullbacks_are_single_use(self, grid64s):
+        p = make_params(5, 1.3, 0.8)
+        f = Field(grid64s, 0.6 + 0.25 * np.random.default_rng(13).standard_normal((64, 64)))
+        _, pullback = norm_gradients(f, p)
+        pullback(1.0, 1.0, 1.0)
+        with pytest.raises(RuntimeError, match="single-use"):
+            pullback(1.0, 1.0, 1.0)
+        _, mass_pullback = grid64s.power_masses(f.values)
+        mass_pullback(1.0, 1.0, 1.0)
+        with pytest.raises(RuntimeError, match="single-use"):
+            mass_pullback(1.0, 1.0, 1.0)
 
 
 class TestNorms:
@@ -506,9 +614,7 @@ class TestNorms:
         rng = np.random.default_rng(11)
         u = 0.6 + 0.25 * rng.standard_normal((64, 64))
         field = Field(grid64s, u)
-        da, db, dc = (
-            norm_gradients(field, p, lambda triple, k=k: np.eye(3)[k])[1] for k in range(3)
-        )
+        da, db, dc = (norm_gradients(field, p)[1](*np.eye(3)[k]) for k in range(3))
         h = 1e-6
         for _ in range(6):
             d = rng.standard_normal((64, 64))

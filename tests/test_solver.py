@@ -111,12 +111,21 @@ class TestConfigValidation:
 
 
 def count_kernel_passes(monkeypatch):
+    """One entry per power-mass pass, in order: False when the pass is
+    made, True once its pullback is taken."""
     calls = []
     real = AxiGrid.power_masses
 
-    def counted(self, *args, **kwargs):
-        calls.append(kwargs.get("combine") is not None)
-        return real(self, *args, **kwargs)
+    def counted(self, values):
+        masses, pullback = real(self, values)
+        k = len(calls)
+        calls.append(False)
+
+        def taken(*weights):
+            calls[k] = True
+            return pullback(*weights)
+
+        return masses, taken
 
     monkeypatch.setattr(AxiGrid, "power_masses", counted)
     return calls
