@@ -73,10 +73,6 @@ class ProblemParams:
     def N(self) -> int:
         return self.exponents.N
 
-    @property
-    def mean_curvature(self) -> float:
-        return 1.0 / self.radius
-
 
 def make_params(N: int, a: float, alpha: float, radius: float = 1.0) -> ProblemParams:
     return ProblemParams(Exponents(N), a, alpha, radius)

@@ -26,10 +26,10 @@ otherwise.  Pairs with s.y <= 0 are dropped.  When the
 line search fails the history is cleared and the search retried along
 z; a second failure stops the descent.  Each point visited, the start
 and every trial, costs one kernel pass: gradient_I gives its triple, so
-its level, with its gradient.  Only an accepted trial is rescaled to
-critical mass 1, pinning the scale direction; I has degree 0, so its
-triple and gradient follow by homogeneity and the step adds only the
-Q^{-1} solve.
+its level, with its gradient as an array, and a trial whose level is not
+finite fails the Armijo test.  Only an accepted trial is rescaled to
+critical mass 1, pinning the scale direction; I having degree 0, its
+triple and gradient follow by homogeneity: the step adds one Q^{-1} solve.
 
 Q^{-1} is solved exactly, with no factorization where the grid allows:
 conjugate gradients on Q, preconditioned with the inverse of its
@@ -44,12 +44,13 @@ eigenproblems lose their small eigenvalues, the certificate fails and
 the run solves with a sparse LU of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
-all its solves at fixed alpha, and each solve reads its Euler-Lagrange
-residual from the winning descent's final dual norm.  A run on one
-worker opens no pool: its descents run in the calling thread, one
-after another, and give the same bytes a pool does.  One SolveConfig
-holds all of a run's settings, the worker count included; its fields
-and defaults are those of the CLI's solver config keys.
+all its solves at fixed alpha.  A solve reports its winning descent's level
+and stop reason, and reads its Euler-Lagrange residual from that descent's
+final dual norm; arithmetic overflow in a descent is a NumericalFailure.
+A run on one worker opens no pool: its descents run in the calling thread,
+one after another, and give the same bytes a pool does.  One SolveConfig
+holds all of a run's settings, the worker count included; its fields and
+defaults are those of the CLI's solver config keys.
 """
 
 from __future__ import annotations
@@ -172,7 +173,6 @@ class Descent(NamedTuple):
     field: Field
     level: float
     iterations: int
-    converged: bool
     start_level: float
     grad_norm: float
     stop_reason: str
@@ -226,15 +226,15 @@ def _envelope_prefactor(tr: NormTriple) -> float:
     return 2.0 * (tr.N * psi_from_projection(tr)) ** ((2.0 - tr.N) / tr.N)
 
 
-def gradient_I(field: Field, params) -> tuple[NormTriple, Field]:
-    """The field's triple and the nodal derivative of I, from one pass.
+def gradient_I(field: Field, params) -> tuple[NormTriple, np.ndarray]:
+    """The field's triple and the nodal derivative of I, an array, from one pass.
 
     I = (N Psi)^{2/N} with Psi evaluated at the manifold projection t(u)u;
     the inner t is stationary, so only the explicit dependence on the
     triple differentiates.
     """
     rep, _, d_psi = _first_variation(field, params)
-    return rep.triple, Field(field.grid, _envelope_prefactor(rep.triple) * d_psi)
+    return rep.triple, _envelope_prefactor(rep.triple) * d_psi
 
 
 def _axis_eigenpairs(main, off, measure):
@@ -392,7 +392,7 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
         # by homogeneity and, I having degree 0, its gradient is m grad I(u),
         # with no further pass
         m = tr.c ** (1.0 / ts)
-        return Field(grid, values / m), tr.scaled(1.0 / m), m * garr
+        return values / m, tr.scaled(1.0 / m), m * garr
 
     def riesz(garr, k):
         zarr = solve_q(garr)
@@ -403,9 +403,9 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     def line_search(u, f, garr, direction, k):
         s = INITIAL_STEP
         for _ in range(MAX_BACKTRACKS):
-            trial_vals = np.maximum(u.values - s * direction, 0.0)
+            trial_vals = np.maximum(u - s * direction, 0.0)
             s *= BACKTRACK
-            move = trial_vals - u.values
+            move = trial_vals - u
             if not math.isfinite(float(np.sum(grid.mass * move**2))):
                 raise NumericalFailure(f"descent trial blew up at iteration {k}")
             slope = float(np.vdot(garr, move))
@@ -416,7 +416,7 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
             ttr, tg = gradient_I(Field(grid, trial_vals), params)
             f_try = big_I(ttr)
             if f_try <= min(f + SUFFICIENT_DECREASE * slope, f - LEVEL_RTOL * f):
-                return pinned(trial_vals, ttr, tg.values), f_try
+                return pinned(trial_vals, ttr, tg), f_try
         return None
 
     # one pass over the clipped start gives its level, its gradient and
@@ -424,7 +424,7 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     clipped = np.maximum(start.values, 0.0)
     tr, g = gradient_I(Field(grid, clipped), params)
     f = f_start = big_I(tr)
-    u, tr, garr = pinned(clipped, tr, g.values)
+    u, tr, garr = pinned(clipped, tr, g)
     zarr = riesz(garr, 1)
     history = deque(maxlen=HISTORY)
     iters = 0
@@ -449,12 +449,12 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
         (u_new, tr_new, g_new), f = found
         iters += 1
         z_new = riesz(g_new, iters + 1)
-        s, y = u_new.values - u.values, g_new - garr
+        s, y = u_new - u, g_new - garr
         sy = float(np.vdot(s, y))
         if sy > 0.0:
             history.append((s, y, z_new - zarr, 1.0 / sy))
         u, tr, garr, zarr = u_new, tr_new, g_new, z_new
-    return Descent(u, f, iters, reason == "converged", f_start, gnorm, reason, tr)
+    return Descent(Field(grid, u), f, iters, f_start, gnorm, reason, tr)
 
 
 def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
@@ -562,9 +562,12 @@ def default_starts(config: SolveConfig, grid: AxiGrid):
     return starts
 
 
-def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, pool, solve_q):
+def _minimize_over_starts(params, config: SolveConfig, starts, pool, solve_q):
     """Descend from every start over ``pool`` and keep the lowest level."""
-    outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
+    try:
+        outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
+    except ArithmeticError as exc:
+        raise NumericalFailure(f"descent arithmetic failed: {type(exc).__name__}: {exc}") from exc
 
     # levels that agree to rounding tie, and the earliest start wins, so
     # a warm start listed first is kept over an equal cold one
@@ -573,12 +576,12 @@ def _minimize_over_starts(params, config: SolveConfig, grid: AxiGrid, starts, po
     u, tr = best.field, best.triple
     t = project_t(tr)
     return SolveResult(
-        S_alpha_est=big_I(tr),
+        S_alpha_est=best.level,
         minimizer=u,
         triple=tr,
         iterations=best.iterations,
-        converged=best.converged,
-        diagnostics=fit_instanton(Field(grid, t * u.values)),
+        converged=best.stop_reason == "converged",
+        diagnostics=fit_instanton(Field(u.grid, t * u.values)),
         # the descent's final dual norm is that of gradient_I at u, which
         # is the residual's dPsi / t scaled by the prefactor and t
         el_residual=best.grad_norm / (_envelope_prefactor(tr) * t),
@@ -615,7 +618,7 @@ def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
                 starts = default_starts(config, grid)
             else:
                 starts = [warm, constant, *restarts]
-            return _minimize_over_starts(params, config, grid, starts, pool, solve_q)
+            return _minimize_over_starts(params, config, starts, pool, solve_q)
 
         yield solve
 

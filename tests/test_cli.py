@@ -370,7 +370,11 @@ class TestMinimizeCommand:
             assert rec["stop_reason"] in ("converged", "max_iters", "line_search")
         bubble = res["starts"][1]
         assert (bubble["stop_reason"], bubble["iterations"]) == ("max_iters", 2)
-        assert min(r["level"] for r in res["starts"]) == pytest.approx(res["S_alpha_est"], rel=1e-12)
+        # the winner is the earliest start within TIE_RTOL of the lowest,
+        # and the result reports its level exactly
+        lowest = min(r["level"] for r in res["starts"])
+        winner = next(r for r in res["starts"] if r["level"] <= lowest + solver.TIE_RTOL * abs(lowest))
+        assert res["S_alpha_est"] == winner["level"]
         manifest = json.loads((out / "manifest.json").read_text())
         reasons = ", ".join(r["stop_reason"] for r in res["starts"])
         assert manifest["failure"].endswith(f"stop reasons by start: {reasons})")
@@ -455,6 +459,31 @@ class TestMinimizeCommand:
         # the diagnostics are the solver's record, key for field
         fields = {f.name for f in dataclasses.fields(solver.BlowupDiagnostics)}
         assert set(res["diagnostics"]) == fields
+
+
+class TestArithmeticOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "subcommand, extra, names",
+        [
+            ("minimize", "alpha = 1e200\n", ""),
+            ("minimize", "alpha = 0.0\na = 1e300\n", "OverflowError"),
+            ("minimize", "alpha = 0.0\na = 1e-300\n", "ZeroDivisionError"),
+            ("sweep", "alpha_list = 0, 1e300\n", ""),
+            ("alpha0", "alpha_list = 0, 1e300\n", ""),
+            ("alpha0", "alpha_list = 2.0, 3.5\na = 1e300\n", "OverflowError"),
+        ],
+        ids=["alpha1e200", "a1e300", "a1e-300", "sweep-alpha1e300", "alpha0-alpha1e300", "alpha0-a1e300"],
+    )
+    def test_overflow_exits_3_with_manifest(self, subcommand, extra, names, tmp_path, capsys):
+        # a validated config whose descent overflows is a numerical failure:
+        # exit 3 and a manifest naming it, never a validation error or a crash
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER.replace("a = 1.0\n", "") + extra)
+        assert cli.run(subcommand, config_path=cfg, output_dir=str(out)) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"] and names in manifest["failure"]
+        assert "accuracy failure" in capsys.readouterr().err
 
 
 class TestSweepCommand:

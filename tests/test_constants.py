@@ -143,7 +143,7 @@ def test_params_validation():
     with pytest.raises(DomainError):
         C.make_params(5, 1.0, 0.0, radius=0.0)
     p = C.make_params(5, 1.0, 0.25, radius=2.0)
-    assert p.mean_curvature == 0.5
+    assert p.radius == 2.0
 
 
 @pytest.mark.parametrize("key", ["a", "alpha", "radius"])

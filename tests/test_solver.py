@@ -37,6 +37,7 @@ from neumannlab import solver
 from neumannlab.solver import (
     Descent,
     SolveConfig,
+    TIE_RTOL,
     _descend,
     CG_SPECTRUM,
     _energy_solver,
@@ -158,13 +159,13 @@ class TestKernelPasses:
                 np, name, lambda *a, real=real, name=name, **k: log.append(name) or real(*a, **k)
             )
         values = interpolate_instanton(grid48, InstantonParams(0.3)).values
-        got = gradient_I(Field(grid48, values), p)[1].values
+        got = gradient_I(Field(grid48, values), p)[1]
         assert log == ["cbrt"]
         log.clear()
         norms(Field(grid48, values), p)
         assert log == ["cbrt"]
         monkeypatch.undo()
-        assert np.array_equal(got, gradient_I(Field(grid48, values), p)[1].values)
+        assert np.array_equal(got, gradient_I(Field(grid48, values), p)[1])
 
     def test_descent_start_is_one_pass(self, grid48, monkeypatch):
         # every descent pass is a derivative pass, one per evaluated point:
@@ -204,13 +205,23 @@ class TestDescentBlowup:
         with pytest.raises(NumericalFailure, match="direction"):
             _descend(start, p, quick_config(), lambda arr: np.full_like(arr, np.inf))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_trial(self, grid48):
-        # a finite direction so large that the trial step overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("scale", [1e300, 1e150, 1e60], ids=["1e300", "1e150", "1e60"])
+    def test_overflowing_trial(self, grid48, scale):
+        # a finite direction so large that the trial step overflows (1e300)
+        # fails the descent; one whose trial moves are finite but whose
+        # powers overflow gives trials with no finite level, which the line
+        # search rejects, and the descent stops where it started
         p = make_params(5, 1.0, 2.0)
         start = interpolate_instanton(grid48, InstantonParams(0.3))
-        with pytest.raises(NumericalFailure, match="trial"):
-            _descend(start, p, quick_config(), lambda arr: 1e300 * arr / np.abs(arr).max())
+        solve = lambda arr: scale * arr / np.abs(arr).max()
+        if scale == 1e300:
+            with pytest.raises(NumericalFailure, match="trial"):
+                _descend(start, p, quick_config(), solve)
+            return
+        out = _descend(start, p, quick_config(), solve)
+        assert (out.stop_reason, out.iterations) == ("line_search", 0)
+        assert out.level == out.start_level
 
 
 class TestLBFGSDirection:
@@ -229,7 +240,7 @@ class TestLBFGSDirection:
             s = rng.standard_normal(shape)
             y = (curvature @ s.ravel()).reshape(shape)
             history.append((s, y, solve(y), 1.0 / float(np.sum(s * y))))
-        garr = gradient_I(Field(g32, 0.5 + rng.random(shape)), p)[1].values
+        garr = gradient_I(Field(g32, 0.5 + rng.random(shape)), p)[1]
         got = _lbfgs_direction(garr, solve(garr), history)
 
         s, y, dz, _ = history[-1]
@@ -244,7 +255,7 @@ class TestLBFGSDirection:
 
     def test_empty_history_is_riesz_gradient(self, grid48):
         p = make_params(5, 1.0, 2.0)
-        garr = gradient_I(interpolate_instanton(grid48, InstantonParams(0.3)), p)[1].values
+        garr = gradient_I(interpolate_instanton(grid48, InstantonParams(0.3)), p)[1]
         zarr = _energy_solver(grid48, p.a)(garr)
         assert np.array_equal(_lbfgs_direction(garr, zarr, []), zarr)
 
@@ -259,7 +270,7 @@ class TestDescentIterations:
         p = make_params(5, 1.0, 3.0)
         start = interpolate_instanton(grid64, InstantonParams(max(eps, 2.0 * grid64.min_boundary_spacing)))
         out = _descend(start, p, quick_config(max_iters=400), _energy_solver(grid64, p.a))
-        assert out.converged and out.stop_reason == "converged"
+        assert out.stop_reason == "converged"
         assert out.iterations <= self.STEEPEST[eps] // 3
         assert out.grad_norm <= 3e-4
         assert out.level < out.start_level
@@ -276,10 +287,10 @@ class TestStarts:
 
         def fake(start, params, config, solve_q):
             k, level = outcome[id(start)]
-            return Descent(start, level, k, True, 12.0, 0.0, "converged", norms(start, params).triple)
+            return Descent(start, level, k, 12.0, 0.0, "converged", norms(start, params).triple)
 
         monkeypatch.setattr(solver, "_descend", fake)
-        res = _minimize_over_starts(p, quick_config(), grid48, starts, SERIAL, _energy_solver(grid48, p.a))
+        res = _minimize_over_starts(p, quick_config(), starts, SERIAL, _energy_solver(grid48, p.a))
         assert res.minimizer is starts[0]
         assert res.iterations == 0
 
@@ -317,7 +328,7 @@ class TestStarts:
         solve = _energy_solver(grid48, p.a)
         want = evaluate_I(starts[0], p)
         calls = count_kernel_passes(monkeypatch)
-        res = _minimize_over_starts(p, quick_config(), grid48, starts, SERIAL, solve)
+        res = _minimize_over_starts(p, quick_config(), starts, SERIAL, solve)
         assert calls == [True]
         assert res.start_values == (want,)
 
@@ -332,7 +343,7 @@ class TestStarts:
         calls = count_kernel_passes(monkeypatch)
         out = _descend(starts[0], p, cfg, solve)
         descent_calls, calls[:] = list(calls), []
-        res = _minimize_over_starts(p, cfg, grid48, starts, SERIAL, solve)
+        res = _minimize_over_starts(p, cfg, starts, SERIAL, solve)
         assert out.iterations == 5
         assert calls == descent_calls
         want = norms(res.minimizer, p).triple
@@ -396,7 +407,7 @@ class TestGradientI:
         for _ in range(3):
             u = 0.6 + 0.3 * rng.random((48, 48))
             f = Field(grid48, u)
-            ga = gradient_I(f, p)[1].values
+            ga = gradient_I(f, p)[1]
             base_scale = float(np.sqrt(np.mean(u**2)))
             h = 1e-5 * base_scale
             for _ in range(5):
@@ -414,8 +425,8 @@ class TestGradientI:
         rng = np.random.default_rng(9)
         u = 0.5 + rng.random((48, 48))
         for m in (0.37, 2.9, 41.0):
-            want = gradient_I(Field(grid48, u / m), p)[1].values
-            got = m * gradient_I(Field(grid48, u), p)[1].values
+            want = gradient_I(Field(grid48, u / m), p)[1]
+            got = m * gradient_I(Field(grid48, u), p)[1]
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_returns_the_triple(self, grid48):
@@ -429,7 +440,7 @@ class TestGradientI:
         p = make_params(5, 1.0, 1.2)
         rng = np.random.default_rng(8)
         u = 0.5 + rng.random((48, 48))
-        ga = gradient_I(Field(grid48, u), p)[1].values
+        ga = gradient_I(Field(grid48, u), p)[1]
         scale = float(np.sqrt(np.sum(ga**2) * np.sum(u**2)))
         assert abs(float(np.sum(ga * u))) <= 1e-10 * max(scale, 1.0)
 
@@ -437,7 +448,7 @@ class TestGradientI:
         p = make_params(5, 1.0, 0.9)
         kap = constant_solution_kappa(p)
         f = Field.constant(grid48, kap)
-        ga = gradient_I(f, p)[1].values
+        ga = gradient_I(f, p)[1]
         solve = _energy_solver(grid48, p.a)
         dual = float(np.sqrt(max(np.sum(ga * solve(ga)), 0.0)))
         assert dual <= 10.0 * 1e-6
@@ -539,6 +550,16 @@ class TestSweep:
         # alpha = 0 entry must reproduce a cold minimize at alpha = 0
         cold = minimize(make_params(5, 1.0, 0.0), cfg, grid64)
         assert levels[0] == pytest.approx(cold.S_alpha_est, rel=1e-10)
+
+    def test_level_is_the_winning_descents(self, grid48):
+        # each solve reports the level its winning start's record holds and
+        # the tie rule compared, bit for bit, not a second evaluation of it
+        sw = sweep_alpha(make_params(5, 1.0, 0.0), [0.5, 1.5, 2.25, 3.0], quick_config(n_starts=2), grid48)
+        for res in sw.results:
+            lowest = min(r.level for r in res.starts)
+            winner = next(r for r in res.starts if r.level <= lowest + TIE_RTOL * abs(lowest))
+            assert res.S_alpha_est == winner.level
+            assert res.converged == (winner.stop_reason == "converged")
 
 
 class TestContinuation:
@@ -827,7 +848,7 @@ class TestEulerLagrange:
         rng = np.random.default_rng(3)
         f = Field(grid48, 0.5 + rng.random((48, 48)))
         solve = _energy_solver(grid48, p.a)
-        g = gradient_I(f, p)[1].values
+        g = gradient_I(f, p)[1]
         tr = norms(f, p).triple
         pref = 2.0 * (5.0 * psi_from_projection(tr)) ** (-3.0 / 5.0)
         want = np.sqrt(np.sum(g * solve(g))) / (pref * project_t(tr))
