@@ -8,10 +8,10 @@ lists them, and creates the output directory only then.  The manifest
 echoes the fully resolved config, the constant pack for the run's
 dimension, the package version, the seed, and wall timings; JSON
 outputs name the manifest, CSV bodies stay plain so that re-runs are
-byte-identical.  The outputs are the solver's records: ``alpha0.json``
-is ``Alpha0Result`` and ``result.json``'s ``diagnostics`` is
-``BlowupDiagnostics``, field for field, and every CSV row is a dict
-whose keys are the header.
+byte-identical.  The outputs are the solver's records, field for field:
+``alpha0.json`` is ``Alpha0Result``, ``result.json`` is ``SolveResult``
+less the minimizer (the ``field_final`` snapshot), and every CSV row is
+a dict whose keys are the header.
 
 Every flag but ``--config`` and ``--out`` is a config key, generated
 from ``CONFIG_SCHEMA`` for the subcommands that take it.  The solver
@@ -399,19 +399,10 @@ def _run_minimize(cfg, ctx):
         f"S_alpha_est = {res.S_alpha_est:.12g}  converged = {res.converged}  "
         f"iterations = {res.iterations}"
     )
-    # triple lists no N, and the minimizer is staged as its own snapshot
-    ctx["outputs"]["result.json"] = {
-        "alpha": params.alpha,
-        "S_alpha_est": res.S_alpha_est,
-        "triple": {"a_bar": res.triple.a_bar, "b": res.triple.b, "c": res.triple.c},
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "el_residual": res.el_residual,
-        "start_values": res.start_values,
-        "starts": [dataclasses.asdict(st) for st in res.starts],
-        "diagnostics": dataclasses.asdict(res.diagnostics),
-        "manifest": "manifest.json",
-    }
+    # the minimizer is its own snapshot, and asdict would deep-copy its grid
+    record = dataclasses.asdict(dataclasses.replace(res, minimizer=None))
+    del record["minimizer"]
+    ctx["outputs"]["result.json"] = dict(record, alpha=params.alpha, manifest="manifest.json")
     ctx["outputs"]["field_final"] = res.minimizer
     ctx["summary"] = {"S_alpha_est": res.S_alpha_est, "converged": bool(res.converged)}
     if not res.converged:

@@ -47,7 +47,6 @@ should and descent cannot tunnel below the bubble level.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -438,13 +437,14 @@ def energy_operator(grid: AxiGrid, a: float) -> sparse.dia_matrix:
     )
 
 
-def interpolate_instanton(grid: AxiGrid, inst: InstantonParams) -> Field:
-    """Nodewise bubble centered at the north-pole boundary point.
+def interpolate_instanton(grid: AxiGrid, inst: InstantonParams, south: bool = False) -> Field:
+    """Nodewise bubble centered at the north-pole boundary point, or at
+    the south pole theta = pi when ``south`` is true.
 
     Distance from node (r, theta) to the center is by the law of cosines
-    d^2 = r^2 + R^2 - 2 r R cos(theta).  Raises ResolutionError when the
-    scale is below twice the local node spacing (the peak would fall
-    between nodes), reporting the smallest resolvable scale.
+    d^2 = r^2 + R^2 -+ 2 r R cos(theta).  Raises ResolutionError when the
+    scale is below twice the north pole's node spacing (the peak would
+    fall between nodes), reporting the smallest resolvable scale.
     """
     min_resolvable = 2.0 * grid.min_boundary_spacing
     if inst.eps < min_resolvable:
@@ -455,8 +455,10 @@ def interpolate_instanton(grid: AxiGrid, inst: InstantonParams) -> Field:
         )
     R = grid.R
     r = grid.r[:, None]
-    ct = np.cos(grid.theta)[None, :]
-    dist = np.sqrt(np.maximum(r**2 + R**2 - 2.0 * r * R * ct, 0.0))
+    cross = 2.0 * r * R * np.cos(grid.theta)
+    if south:
+        cross = -cross
+    dist = np.sqrt(np.maximum(r**2 + R**2 - cross, 0.0))
     scale = inst.amplitude * inst.eps ** (-(grid.N - 2) / 2.0)
     return Field(grid, scale * u_value(dist / inst.eps, grid.N))
 
@@ -488,12 +490,7 @@ def load_field_snapshot(csv_path, json_path) -> Field:
     grid = build_grid(
         header["N"], header["R"], header["n_r"], header["n_theta"], header["stretch"]
     )
-    values = np.empty((grid.n_r, grid.n_theta))
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        flat = [float(row[2]) for row in reader]
-    if len(flat) != values.size:
-        raise DomainError(f"snapshot has {len(flat)} rows, grid needs {values.size}")
-    values[:] = np.asarray(flat).reshape(values.shape)
-    return Field(grid, values)
+    values = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
+    if values.size != grid.n_r * grid.n_theta:
+        raise DomainError(f"snapshot has {values.size} rows, grid needs {grid.n_r * grid.n_theta}")
+    return Field(grid, values.reshape(grid.n_r, grid.n_theta))

@@ -72,7 +72,7 @@ from scipy.sparse.linalg import splu
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
 from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms
 from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure
-from .instanton import InstantonParams, u_value
+from .instanton import InstantonParams
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
 
 
@@ -326,14 +326,12 @@ def _energy_solver(grid: AxiGrid, a: float):
     def solve(arr: np.ndarray) -> np.ndarray:
         b = arr.reshape(shape)
         x = np.zeros(shape)
-        if not b.any():
-            return x.reshape(arr.shape)
         r = b.copy()
         z = p_inv(r)
         rz = rz0 = float(np.vdot(r, z))
         p = z
         iters = 0
-        # written so that a NaN quadratic form runs into the cap
+        # written so that a NaN quadratic form runs into the cap; b = 0 gives 0
         while not rz <= CG_RTOL**2 * rz0:
             if iters == CG_MAX_ITERS:
                 raise NumericalFailure(
@@ -424,6 +422,8 @@ def _descend(start: Field, params, config: SolveConfig, solve_q) -> Descent:
     clipped = np.maximum(start.values, 0.0)
     tr, g = gradient_I(Field(grid, clipped), params)
     f = f_start = big_I(tr)
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        raise NumericalFailure(f"descent start is not finite: level {f:g}")
     u, tr, garr = pinned(clipped, tr, g)
     zarr = riesz(garr, 1)
     history = deque(maxlen=HISTORY)
@@ -481,18 +481,19 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     length delta_M = M^{-2/(N-2)}, whether P is a boundary node, and the
     least-squares bubble fit (C, eps) there.
 
-    The bubble is centred at the boundary pole in the peak's hemisphere,
-    by each node's distance to it; the field is never mirrored, so either
-    pole fits alike on a stretched grid.  The distance minimized is the
+    Each trial bubble is interpolate_instanton's, centred at the boundary
+    pole nearer the peak; the field is never mirrored, so either pole
+    fits alike on a stretched grid.  The distance minimized is the
     gradient seminorm of the difference, quoted as w_norm: the residual is
     the difference's edge differences, weighted by the square roots of
     the edge coefficients.  It is linear in C, so C is projected out in
     closed form, <t, b> / <b, b> for the edge parts t of the field and b
     of the unit bubble, and a bounded search in log eps, taken about the
-    blow-up length so that its tolerance is absolute, minimizes the rest
-    (variable projection: Golub & Pereyra 1973).  A peak far from both
-    poles means the field is not concentrating there, and the fit is
-    skipped, not forced: ``fit`` and ``w_norm`` are None and nan.
+    blow-up length so that its tolerance is absolute and clamped to the
+    resolvable scale, minimizes the rest (variable projection: Golub &
+    Pereyra 1973).  A peak far from both poles means the field is not
+    concentrating there, and the fit is skipped, not forced: ``fit`` and
+    ``w_norm`` are None and nan, and no grid-sized array is built.
     """
     grid = field.grid
     i, j = np.unravel_index(int(np.argmax(field.values)), field.values.shape)
@@ -509,13 +510,12 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     # the argmax of a noisy concentrating profile wanders within the
     # bubble core (many stretched nodes fit inside it), so gate on the
     # physical distance from the peak to the nearer pole, scaled by the
-    # blow-up length
-    r = grid.r[:, None]
-    cross = 2.0 * r * grid.R * np.cos(grid.theta)
-    if cross[i, j] < 0.0:
-        cross = -cross
-    dist = np.sqrt(np.maximum(r**2 + grid.R**2 - cross, 0.0))
-    if dist[i, j] > min(max(2.0 * delta_M, 4.0 * grid.min_boundary_spacing), 0.2 * grid.R):
+    # blow-up length; the arithmetic is interpolate_instanton's at (i, j)
+    r = grid.r[i]
+    cross = 2.0 * r * grid.R * np.cos(grid.theta)[j]
+    south = bool(cross < 0.0)
+    dist = math.sqrt(max(r**2 + grid.R**2 - abs(cross), 0.0))
+    if dist > min(max(2.0 * delta_M, 4.0 * grid.min_boundary_spacing), 0.2 * grid.R):
         return skipped
     eps_floor = max(2.0 * grid.min_boundary_spacing, 1e-12)
     w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
@@ -527,9 +527,9 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
 
     target = edges(field.values)
 
-    def projected(x):  # x = log(eps / delta_M)
-        eps = delta_M * math.exp(x)
-        b = edges(eps ** (-(grid.N - 2) / 2.0) * u_value(dist / eps, grid.N))
+    def projected(x):  # x = log(eps / delta_M), eps kept resolvable
+        eps = max(delta_M * math.exp(x), eps_floor)
+        b = edges(interpolate_instanton(grid, InstantonParams(eps), south).values)
         C = max(float(target @ b) / float(b @ b), 1e-12)
         return InstantonParams(eps=eps, amplitude=C), float(np.linalg.norm(target - C * b))
 

@@ -379,6 +379,23 @@ class TestMinimizeCommand:
         reasons = ", ".join(r["stop_reason"] for r in res["starts"])
         assert manifest["failure"].endswith(f"stop reasons by start: {reasons})")
 
+    def test_result_is_the_solve_record(self, tmp_path, capsys, monkeypatch):
+        # result.json is SolveResult less its minimizer, the field_final
+        # snapshot, plus the run's alpha and manifest; the triple keeps N
+        solves = []
+        real = cli.minimize
+        monkeypatch.setattr(cli, "minimize", lambda *args: solves.append(real(*args)) or solves[-1])
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 3.0\n")
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 0
+        res = json.loads((out / "result.json").read_text())
+        fields = {f.name for f in dataclasses.fields(solver.SolveResult)}
+        assert set(res) == fields - {"minimizer"} | {"alpha", "manifest"}
+        (solved,) = solves
+        assert res["triple"] == dataclasses.asdict(solved.triple)
+        assert res["triple"]["N"] == 5
+        assert res["diagnostics"]["fit"] == dataclasses.asdict(solved.diagnostics.fit)
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
@@ -466,11 +483,11 @@ class TestArithmeticOverflow:
     @pytest.mark.parametrize(
         "subcommand, extra, names",
         [
-            ("minimize", "alpha = 1e200\n", ""),
+            ("minimize", "alpha = 1e200\n", "descent start"),
             ("minimize", "alpha = 0.0\na = 1e300\n", "OverflowError"),
             ("minimize", "alpha = 0.0\na = 1e-300\n", "ZeroDivisionError"),
-            ("sweep", "alpha_list = 0, 1e300\n", ""),
-            ("alpha0", "alpha_list = 0, 1e300\n", ""),
+            ("sweep", "alpha_list = 0, 1e300\n", "descent start"),
+            ("alpha0", "alpha_list = 0, 1e300\n", "descent start"),
             ("alpha0", "alpha_list = 2.0, 3.5\na = 1e300\n", "OverflowError"),
         ],
         ids=["alpha1e200", "a1e300", "a1e-300", "sweep-alpha1e300", "alpha0-alpha1e300", "alpha0-a1e300"],

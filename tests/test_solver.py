@@ -1,6 +1,7 @@
 """Descent machinery: gradients, multistart minimization, sweeps, threshold."""
 
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +223,21 @@ class TestDescentBlowup:
         out = _descend(start, p, quick_config(), solve)
         assert (out.stop_reason, out.iterations) == ("line_search", 0)
         assert out.level == out.start_level
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_nonfinite_start_stops_before_any_solve(self, grid48):
+        # at alpha 1e200 the constant start's level is inf and its gradient
+        # NaN; the descent names its start and hands nothing to Q^{-1}
+        calls = []
+
+        def counting_solve(arr):
+            calls.append(arr)
+            return arr
+
+        with pytest.raises(NumericalFailure, match="descent start is not finite: level inf"):
+            _descend(Field.constant(grid48, 1.0), make_params(5, 1.0, 1e200), quick_config(),
+                     counting_solve)
+        assert calls == []
 
 
 class TestLBFGSDirection:
@@ -772,6 +788,47 @@ def _fit_oracle_field(kind):
 
 
 class TestFitInstanton:
+    @pytest.mark.parametrize("stretch", [0.0, 3.0, 4.0])
+    def test_south_bubble_is_the_oracle(self, stretch):
+        g = build_grid(5, 1.0, 128, 128, stretch=stretch)
+        got = interpolate_instanton(g, InstantonParams(0.08), south=True).values
+        assert got.tobytes() == _south_pole_bubble(g, 0.08).values.tobytes()
+
+    def test_fit_samples_through_interpolate_instanton(self, grid48, monkeypatch):
+        # every bubble the search evaluates is interpolate_instanton's, so
+        # a trace of that name counts the fit's bubbles; a skipped fit
+        # evaluates none
+        g = build_grid(5, 1.0, 128, 128, stretch=3.0)
+        f = interpolate_instanton(g, InstantonParams(eps=0.05))
+        calls = []
+        real = solver.interpolate_instanton
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "interpolate_instanton", counting)
+        assert fit_instanton(f).fit is not None
+        assert len(calls) >= 10
+        calls.clear()
+        vals = np.ones((48, 48))
+        vals[20, 20] = 5.0
+        assert fit_instanton(Field(grid48, vals)).fit is None
+        assert calls == []
+
+    def test_skipped_fit_allocates_no_plane(self):
+        # the skip gate reads the peak's own distance, so a skipped fit
+        # of a 256^2 field allocates less than one nodal plane (512 KiB)
+        field = Field.constant(build_grid(5, 1.0, 256, 256, stretch=4.0), 1.0)
+        tracemalloc.start()
+        try:
+            fit = fit_instanton(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.fit is None
+        assert peak < 256 * 256 * 8
+
     def test_self_fit(self):
         g = build_grid(5, 1.0, 128, 128, stretch=3.0)
         f = interpolate_instanton(g, InstantonParams(eps=0.05))
