@@ -9,9 +9,9 @@ echoes the fully resolved config, the constant pack for the run's
 dimension, the package version, the seed, and wall timings; JSON
 outputs name the manifest, CSV bodies stay plain so that re-runs are
 byte-identical.  The outputs are the solver's records, field for field:
-``alpha0.json`` is ``Alpha0Result``, ``result.json`` is ``SolveResult``
-less the minimizer (the ``field_final`` snapshot), and every CSV row is
-a dict whose keys are the header.
+``alpha0.json`` is ``Alpha0Result``, ``result.json`` is ``SolveResult``,
+``alpha`` included, less the minimizer (the ``field_final`` snapshot),
+and every CSV row is a dict whose keys are the header.
 
 Every flag but ``--config`` and ``--out`` is a config key, generated
 from ``CONFIG_SCHEMA`` for the subcommands that take it.  The solver
@@ -294,12 +294,12 @@ def _write_outputs(out_dir: str, outputs: dict) -> list:
     return written
 
 
-def _sweep_row(alpha: float, res) -> dict:
+def _sweep_row(res) -> dict:
     """One ``sweep.csv`` row; a skipped fit reads nan."""
     d = res.diagnostics
     nan = float("nan")
     return {
-        "alpha": alpha,
+        "alpha": res.alpha,
         "S_est": res.S_alpha_est,
         "converged": res.converged,
         "M": d.M,
@@ -313,7 +313,7 @@ def _sweep_row(alpha: float, res) -> dict:
 
 def _run_constants(cfg, ctx):
     pack = snapshot(cfg["N"], mean_curvature=1.0 / cfg["R"])
-    print(json.dumps(pack, indent=2, sort_keys=True))
+    print(_strict_json(pack, indent=2))
     ctx["outputs"]["constants.json"] = dict(pack, manifest="manifest.json")
 
 
@@ -402,7 +402,7 @@ def _run_minimize(cfg, ctx):
     # the minimizer is its own snapshot, and asdict would deep-copy its grid
     record = dataclasses.asdict(dataclasses.replace(res, minimizer=None))
     del record["minimizer"]
-    ctx["outputs"]["result.json"] = dict(record, alpha=params.alpha, manifest="manifest.json")
+    ctx["outputs"]["result.json"] = dict(record, manifest="manifest.json")
     ctx["outputs"]["field_final"] = res.minimizer
     ctx["summary"] = {"S_alpha_est": res.S_alpha_est, "converged": bool(res.converged)}
     if not res.converged:
@@ -416,7 +416,7 @@ def _run_minimize(cfg, ctx):
 def _run_sweep(cfg, ctx):
     params, grid, solve_config = _solver_pieces(cfg)
     swept = sweep_alpha(params, cfg["alpha_list"], solve_config, grid)
-    rows = [_sweep_row(a, r) for a, r in zip(swept.alphas, swept.results)]
+    rows = [_sweep_row(r) for r in swept.results]
     ctx["outputs"]["sweep.csv"] = rows
     for idx, res in enumerate(swept.results):
         ctx["outputs"][f"field_{idx:03d}"] = res.minimizer
@@ -432,7 +432,7 @@ def _run_sweep(cfg, ctx):
     problems = []
     if swept.monotone_violations:
         problems.append(f"level decreased across {len(swept.monotone_violations)} alpha step(s)")
-    unconverged = [a for a, r in zip(swept.alphas, swept.results) if not r.converged]
+    unconverged = [r.alpha for r in swept.results if not r.converged]
     if unconverged:
         problems.append(_stopped_above_tol(unconverged, solve_config))
     if problems:

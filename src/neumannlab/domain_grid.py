@@ -41,8 +41,10 @@ exact measure of the edge's dual cell.  The nodal-stencil alternative
 (centered at the nodes themselves) is blind to a single-node spike, its
 stencil straddles the peak, and that blindness manufactures spurious
 sub-grid minimizers of the critical functional well below the continuum
-level.  Edge differences see every slope, so a spike costs what it
-should and descent cannot tunnel below the bubble level.
+level.  Edge differences see every slope, so for N <= 7 a one-node
+spike costs what it should and descent cannot tunnel below the bubble
+level.  From N = 8 a spike on the origin row r = 0, whose nodes are all
+one point, undercuts S / 2^(2/N).
 """
 
 from __future__ import annotations
@@ -155,11 +157,12 @@ class AxiGrid:
         return float(self.mass.sum())
 
     @property
-    def min_boundary_spacing(self) -> float:
-        """Smallest node spacing near the north-pole boundary point."""
+    def min_bubble_eps(self) -> float:
+        """Smallest bubble scale the grid resolves: twice the smallest node
+        spacing next to the north-pole boundary point."""
         dr = self.r[-1] - self.r[-2]
         dth = self.R * (self.theta[1] - self.theta[0])
-        return float(min(dr, dth))
+        return 2.0 * float(min(dr, dth))
 
     def gradient_energy(self, values: np.ndarray) -> float:
         """The quadratic form |grad u|_2^2 over the edge dual cells."""
@@ -233,17 +236,17 @@ class AxiGrid:
         return masses, pullback
 
 
-@np.errstate(all="ignore")  # a stretch that breaks the grid is rejected below
+@np.errstate(all="ignore")  # a radius or stretch that breaks the grid is rejected below
 def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
     """Tensor grid whose node masses sum to the exact ball volume.
 
     ``stretch`` > 0 clusters r-nodes toward the boundary r = R and
     theta-nodes toward the axis theta = 0 (where boundary concentration
-    happens); 0 gives uniform nodes.  A stretch is accepted only if the
-    grid it builds has finite, strictly positive node masses and Gauss
-    weights and finite edge coefficients; too strong a stretch for the
-    grid size merges nodes in floating point and raises
-    ``ConfigurationError`` (at 32 x 32, 36 builds and 37.5 does not).
+    happens); 0 gives uniform nodes.  A radius and stretch are accepted
+    only if the grid has finite, strictly positive node masses and Gauss
+    weights and finite edge coefficients; else ``ConfigurationError``
+    names both (at N = 5, R = 1e-70 underflows the masses; at 32 x 32 a
+    stretch of 36 builds and 37.5 merges nodes in floating point).
     """
     if not (isinstance(N, (int, np.integer)) and N >= 5):
         raise ConfigurationError(f"integer N >= 5 required, got {N!r}")
@@ -292,7 +295,7 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     finite = all(np.all(np.isfinite(c)) for c in (r_edge_coeff, theta_edge_coeff))
     if not (positive and finite):
         raise ConfigurationError(
-            f"stretch {stretch} breaks the {n_r} x {n_theta} grid: node masses and Gauss "
+            f"R {R} and stretch {stretch} break the {n_r} x {n_theta} grid: node masses and Gauss "
             "weights must be finite and positive, edge coefficients finite"
         )
 
@@ -437,28 +440,29 @@ def energy_operator(grid: AxiGrid, a: float) -> sparse.dia_matrix:
     )
 
 
-def interpolate_instanton(grid: AxiGrid, inst: InstantonParams, south: bool = False) -> Field:
-    """Nodewise bubble centered at the north-pole boundary point, or at
-    the south pole theta = pi when ``south`` is true.
-
-    Distance from node (r, theta) to the center is by the law of cosines
-    d^2 = r^2 + R^2 -+ 2 r R cos(theta).  Raises ResolutionError when the
-    scale is below twice the north pole's node spacing (the peak would
-    fall between nodes), reporting the smallest resolvable scale.
-    """
-    min_resolvable = 2.0 * grid.min_boundary_spacing
-    if inst.eps < min_resolvable:
-        raise ResolutionError(
-            f"eps={inst.eps:g} unresolvable on this grid "
-            f"(needs eps >= {min_resolvable:g}); refine or stretch the grid",
-            min_resolvable=min_resolvable,
-        )
-    R = grid.R
-    r = grid.r[:, None]
-    cross = 2.0 * r * R * np.cos(grid.theta)
+def pole_distance(grid: AxiGrid, r, cos_theta, south: bool = False):
+    """Distance from the point (r, theta) to the north-pole boundary
+    point, or to the south pole theta = pi when ``south`` is true, by the
+    law of cosines d^2 = r^2 + R^2 -+ 2 r R cos(theta).  The nodal arrays
+    and one node's scalars give the same bits."""
+    cross = 2.0 * r * grid.R * cos_theta
     if south:
         cross = -cross
-    dist = np.sqrt(np.maximum(r**2 + R**2 - cross, 0.0))
+    return np.sqrt(np.maximum(r**2 + grid.R**2 - cross, 0.0))
+
+
+def interpolate_instanton(grid: AxiGrid, inst: InstantonParams, south: bool = False) -> Field:
+    """Nodewise bubble centered at the north-pole boundary point, or at
+    the south pole theta = pi when ``south`` is true, at each node's
+    ``pole_distance``.  Raises ResolutionError, stating the floor, when
+    the scale is below ``grid.min_bubble_eps``.
+    """
+    if inst.eps < grid.min_bubble_eps:
+        raise ResolutionError(
+            f"eps={inst.eps:g} unresolvable on this grid "
+            f"(needs eps >= {grid.min_bubble_eps:g}); refine or stretch the grid"
+        )
+    dist = pole_distance(grid, grid.r[:, None], np.cos(grid.theta), south)
     scale = inst.amplitude * inst.eps ** (-(grid.N - 2) / 2.0)
     return Field(grid, scale * u_value(dist / inst.eps, grid.N))
 

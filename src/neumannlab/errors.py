@@ -29,10 +29,6 @@ class ConfigurationError(ValidationError):
 class ResolutionError(ValidationError):
     """Requested feature is finer than the grid can represent."""
 
-    def __init__(self, message: str, min_resolvable: float | None = None):
-        super().__init__(message)
-        self.min_resolvable = min_resolvable
-
 
 class NumericalFailure(NeumannLabError):
     """Computation ran but missed its target.  CLI exit code 3."""

@@ -70,7 +70,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
-from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms
+from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms, pole_distance
 from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure
 from .instanton import InstantonParams
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
@@ -147,6 +147,7 @@ class BlowupDiagnostics:
 
 @dataclass(frozen=True)
 class SolveResult:
+    alpha: float
     S_alpha_est: float
     minimizer: Field
     triple: NormTriple
@@ -181,12 +182,8 @@ class Descent(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepResult:
-    alphas: tuple
-    results: tuple
+    results: tuple                # one SolveResult per alpha, ascending
     monotone_violations: tuple
-
-    def levels(self) -> np.ndarray:
-        return np.array([r.S_alpha_est for r in self.results])
 
 
 @dataclass(frozen=True)
@@ -482,18 +479,19 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     least-squares bubble fit (C, eps) there.
 
     Each trial bubble is interpolate_instanton's, centred at the boundary
-    pole nearer the peak; the field is never mirrored, so either pole
-    fits alike on a stretched grid.  The distance minimized is the
-    gradient seminorm of the difference, quoted as w_norm: the residual is
-    the difference's edge differences, weighted by the square roots of
-    the edge coefficients.  It is linear in C, so C is projected out in
-    closed form, <t, b> / <b, b> for the edge parts t of the field and b
-    of the unit bubble, and a bounded search in log eps, taken about the
-    blow-up length so that its tolerance is absolute and clamped to the
-    resolvable scale, minimizes the rest (variable projection: Golub &
-    Pereyra 1973).  A peak far from both poles means the field is not
-    concentrating there, and the fit is skipped, not forced: ``fit`` and
-    ``w_norm`` are None and nan, and no grid-sized array is built.
+    pole nearer the peak and no finer than ``grid.min_bubble_eps``; the
+    field is never mirrored, so either pole fits alike on a stretched
+    grid.  The distance minimized is the gradient seminorm of the
+    difference, quoted as w_norm: the residual is the difference's edge
+    differences, weighted by the square roots of the edge coefficients.
+    It is linear in C, so C is projected out in closed form, <t, b> /
+    <b, b> for the edge parts t of the field and b of the unit bubble,
+    and a bounded search in log eps, taken about the blow-up length so
+    that its tolerance is absolute and clamped to the resolvable scale,
+    minimizes the rest (variable projection: Golub & Pereyra 1973).  A
+    peak whose ``pole_distance`` is far from both poles means the field
+    is not concentrating there, and the fit is skipped, not forced:
+    ``fit`` and ``w_norm`` are None and nan, and no grid-sized array is built.
     """
     grid = field.grid
     i, j = np.unravel_index(int(np.argmax(field.values)), field.values.shape)
@@ -510,14 +508,13 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     # the argmax of a noisy concentrating profile wanders within the
     # bubble core (many stretched nodes fit inside it), so gate on the
     # physical distance from the peak to the nearer pole, scaled by the
-    # blow-up length; the arithmetic is interpolate_instanton's at (i, j)
-    r = grid.r[i]
-    cross = 2.0 * r * grid.R * np.cos(grid.theta)[j]
-    south = bool(cross < 0.0)
-    dist = math.sqrt(max(r**2 + grid.R**2 - abs(cross), 0.0))
-    if dist > min(max(2.0 * delta_M, 4.0 * grid.min_boundary_spacing), 0.2 * grid.R):
+    # blow-up length
+    r, cos_theta = grid.r[i], np.cos(grid.theta)[j]
+    south = bool(2.0 * r * grid.R * cos_theta < 0.0)
+    dist = pole_distance(grid, r, cos_theta, south)
+    if dist > min(max(2.0 * delta_M, 2.0 * grid.min_bubble_eps), 0.2 * grid.R):
         return skipped
-    eps_floor = max(2.0 * grid.min_boundary_spacing, 1e-12)
+    eps_floor = max(grid.min_bubble_eps, 1e-12)
     w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
 
     def edges(values):
@@ -547,7 +544,7 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
 
 def _resolvable_bubble(grid: AxiGrid, frac: float) -> Field:
     """The bubble of scale frac R, clamped to what the grid resolves."""
-    eps = max(frac * grid.R, 2.0 * grid.min_boundary_spacing)
+    eps = max(frac * grid.R, grid.min_bubble_eps)
     return interpolate_instanton(grid, InstantonParams(eps))
 
 
@@ -576,6 +573,7 @@ def _minimize_over_starts(params, config: SolveConfig, starts, pool, solve_q):
     u, tr = best.field, best.triple
     t = project_t(tr)
     return SolveResult(
+        alpha=params.alpha,
         S_alpha_est=best.level,
         minimizer=u,
         triple=tr,
@@ -650,7 +648,7 @@ def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid) -> Swee
             results.append(solve(a, results[-1].minimizer if results else None))
     levels = [r.S_alpha_est for r in results]
     violations = tuple(i for i in range(1, len(levels)) if levels[i] < levels[i - 1] - 1e-6)
-    return SweepResult(alphas=tuple(alphas), results=tuple(results), monotone_violations=violations)
+    return SweepResult(results=tuple(results), monotone_violations=violations)
 
 
 def _amax_bound(base_params, grid: AxiGrid) -> float:
@@ -680,7 +678,8 @@ def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket) ->
     absorbs the mesh-limited bias of the discrete infimum near
     concentration.  The returned estimate is biased low on the restricted
     space and is reported with two analytic lower bounds rather than
-    asserted against them.
+    asserted against them.  The bisection keeps the two certificates'
+    solve records, ``below`` and ``above``; a midpoint starts from below's.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 <= lo < hi:
@@ -690,36 +689,34 @@ def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket) ->
     evals = []
     with _continuation(base_params, config, grid) as solve:
 
-        def level_at(a, warm):
+        def level_at(a, warm=None):
             res = solve(a, warm)
-            evals.append((a, res.S_alpha_est, res.converged))
+            evals.append((res.alpha, res.S_alpha_est, res.converged))
             return res
 
-        res_lo = level_at(lo, None)
-        if res_lo.S_alpha_est >= threshold:
+        below = level_at(lo)
+        if below.S_alpha_est >= threshold:
             raise BracketError(
-                f"S_est({lo}) = {res_lo.S_alpha_est:.6f} is not below the threshold "
+                f"S_est({lo}) = {below.S_alpha_est:.6f} is not below the threshold "
                 f"{threshold:.6f}; move the lower bracket down"
             )
-        res_hi = level_at(hi, res_lo.minimizer)
-        if res_hi.S_alpha_est < threshold:
+        above = level_at(hi, below.minimizer)
+        if above.S_alpha_est < threshold:
             raise BracketError(
-                f"S_est({hi}) = {res_hi.S_alpha_est:.6f} never reaches the threshold "
+                f"S_est({hi}) = {above.S_alpha_est:.6f} never reaches the threshold "
                 f"{threshold:.6f}; move the upper bracket up"
             )
 
-        s_lo, s_hi, warm = res_lo.S_alpha_est, res_hi.S_alpha_est, res_lo.minimizer
-        while hi - lo > 1e-3 * 0.5 * (hi + lo):
-            mid = 0.5 * (lo + hi)
-            res_mid = level_at(mid, warm)
-            if res_mid.S_alpha_est < threshold:
-                lo, s_lo, warm = mid, res_mid.S_alpha_est, res_mid.minimizer
+        while above.alpha - below.alpha > 1e-3 * 0.5 * (above.alpha + below.alpha):
+            res = level_at(0.5 * (below.alpha + above.alpha), below.minimizer)
+            if res.S_alpha_est < threshold:
+                below = res
             else:
-                hi, s_hi = mid, res_mid.S_alpha_est
+                above = res
     return Alpha0Result(
-        alpha_hat=0.5 * (lo + hi),
-        certificate_below=(lo, s_lo),
-        certificate_above=(hi, s_hi),
+        alpha_hat=0.5 * (below.alpha + above.alpha),
+        certificate_below=(below.alpha, below.S_alpha_est),
+        certificate_above=(above.alpha, above.S_alpha_est),
         threshold=threshold,
         analytic_curvature_bound=curvature_A(grid.N) / grid.R,
         analytic_amax_bound=_amax_bound(base_params, grid),

@@ -153,6 +153,12 @@ class TestConstantsCommand:
         assert got == pytest.approx(snapshot(5, mean_curvature=1.0))
         assert set(got) == {"N", "S", "B", "A", "cbar1", "cbar2", "omega_N"}
 
+    def test_stdout_is_strict_json_when_curvature_overflows(self, capsys):
+        # 1 / R overflows at R = 1e-320; stdout prints null, as the file does
+        assert cli.run("constants", overrides={"N": "5", "R": "1e-320"}) == 0
+        got = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert got["cbar1"] is None and got["cbar2"] is None
+
     def test_radius_sets_curvature(self, capsys):
         cli.run("constants", overrides={"N": "5", "R": "2.0"})
         got = json.loads(capsys.readouterr().out)

@@ -31,6 +31,7 @@ from neumannlab.errors import (
     DegenerateInputError,
     DomainError,
     NumericalFailure,
+    ResolutionError,
 )
 from neumannlab.instanton import CapQuadrature, InstantonParams, trial_energy, u_value
 from neumannlab.nehari import project_t, psi_from_projection
@@ -284,7 +285,7 @@ class TestDescentIterations:
     @pytest.mark.parametrize("eps", sorted(STEEPEST))
     def test_bubble_starts_converge_in_a_third(self, grid64, eps):
         p = make_params(5, 1.0, 3.0)
-        start = interpolate_instanton(grid64, InstantonParams(max(eps, 2.0 * grid64.min_boundary_spacing)))
+        start = interpolate_instanton(grid64, InstantonParams(max(eps, grid64.min_bubble_eps)))
         out = _descend(start, p, quick_config(max_iters=400), _energy_solver(grid64, p.a))
         assert out.stop_reason == "converged"
         assert out.iterations <= self.STEEPEST[eps] // 3
@@ -369,6 +370,15 @@ class TestStarts:
         ):
             assert got == pytest.approx(exact, rel=1e-12)
         assert res.S_alpha_est == pytest.approx(evaluate_I(res.minimizer, p), rel=1e-12)
+
+    def test_resolvable_bubble_clamps_to_the_grid_floor(self, grid48):
+        # the clamp and the sampler's floor are one number, min_bubble_eps
+        floor = grid48.min_bubble_eps
+        clamped = solver._resolvable_bubble(grid48, 1e-9)
+        at_floor = interpolate_instanton(grid48, InstantonParams(floor))
+        assert clamped.values.tobytes() == at_floor.values.tobytes()
+        with pytest.raises(ResolutionError):
+            interpolate_instanton(grid48, InstantonParams(np.nextafter(floor, 0.0)))
 
     @pytest.mark.parametrize("n_starts, bubbles", [(1, 0), (2, 1), (5, 3)])
     def test_default_starts_build_only_kept_bubbles(self, grid48, monkeypatch, n_starts, bubbles):
@@ -471,6 +481,10 @@ class TestGradientI:
 
 
 class TestMinimize:
+    def test_record_carries_its_alpha(self, grid48):
+        res = minimize(make_params(5, 1.0, 1.25), quick_config(n_starts=1, max_iters=20), grid48)
+        assert res.alpha == 1.25
+
     def test_alpha0_constant_wins(self, grid64):
         p = make_params(5, 1.0, 0.0)
         res = minimize(p, quick_config(), grid64)
@@ -492,7 +506,7 @@ class TestMinimize:
         res = minimize(p, quick_config(), grid64)
         assert res.S_alpha_est <= I_alpha_of_one(p, ball_volume(5, 1.0)) + 1e-12
         quad = CapQuadrature(N=5, n_rho=80, n_theta=80, radius=1.0)
-        floor = 2.0 * grid64.min_boundary_spacing
+        floor = grid64.min_bubble_eps
         for frac in (0.3, 0.1, 0.03):
             eps = max(frac * 1.0, floor)
             level, _ = trial_energy(p, InstantonParams(eps=eps), quad)
@@ -561,7 +575,7 @@ class TestSweep:
         cfg = quick_config()
         sw = sweep_alpha(make_params(5, 1.0, 0.0), [0.0, 0.8, 1.6, 2.8], cfg, grid64)
         assert sw.monotone_violations == ()
-        levels = sw.levels()
+        levels = np.array([r.S_alpha_est for r in sw.results])
         assert np.all(np.diff(levels) >= -1e-6)
         # alpha = 0 entry must reproduce a cold minimize at alpha = 0
         cold = minimize(make_params(5, 1.0, 0.0), cfg, grid64)
@@ -576,6 +590,13 @@ class TestSweep:
             winner = next(r for r in res.starts if r.level <= lowest + TIE_RTOL * abs(lowest))
             assert res.S_alpha_est == winner.level
             assert res.converged == (winner.stop_reason == "converged")
+
+
+    def test_each_record_carries_its_alpha(self, grid48):
+        alphas = [0.5, 1.5, 3.0]
+        sw = sweep_alpha(make_params(5, 1.0, 0.0), alphas, quick_config(n_starts=1, max_iters=20), grid48)
+        assert [res.alpha for res in sw.results] == alphas
+        assert not hasattr(sw, "alphas") and not hasattr(sw, "levels")
 
 
 class TestContinuation:
@@ -742,7 +763,7 @@ def _least_squares_fit(field: Field):
     oracle is given peaks."""
     grid = field.grid
     delta_M = float(field.values.max()) ** (-2.0 / (grid.N - 2))
-    eps_floor = max(2.0 * grid.min_boundary_spacing, 1e-12)
+    eps_floor = max(grid.min_bubble_eps, 1e-12)
     w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
 
     def residual(x):
@@ -931,6 +952,16 @@ class TestEstimateAlpha0:
         assert out.analytic_curvature_bound == pytest.approx(curvature_A(5), rel=1e-12)
         assert out.analytic_amax_bound == pytest.approx(2.4586, abs=2e-3)
         assert len(out.evaluations) >= 8
+
+    def test_certificates_are_evaluated_solves(self, alpha0_run):
+        # the bracket ends are solved first, and each certificate is one
+        # evaluation's (alpha, level), read from that solve's record
+        evals = alpha0_run.evaluations
+        assert [a for a, _, _ in evals[:2]] == [2.0, 3.5]
+        for alpha, level in (alpha0_run.certificate_below, alpha0_run.certificate_above):
+            assert (alpha, level) in [(a, s) for a, s, _ in evals]
+        below, above = alpha0_run.certificate_below[0], alpha0_run.certificate_above[0]
+        assert alpha0_run.alpha_hat == 0.5 * (below + above)
 
     def test_alpha_hat_in_expected_window(self, alpha0_run):
         # biased-low estimate still lands between the curvature bound and
