@@ -128,8 +128,6 @@ CONFIG_SCHEMA = {
     },
     "triples": (str, _REQUIRED, ("nehari-check",)),
     "eps_list": (_float_list, DEFAULT_EPS, ("instanton-verify",)),
-    "n_rho": (_int, 24, ("instanton-verify",)),
-    "n_quad_theta": (_int, 24, ("instanton-verify",)),
 }
 
 def _fmt(x) -> str:
@@ -163,7 +161,7 @@ def _read_config_file(path: str) -> dict:
         if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
             raise ConfigurationError(f"JSON config {path} lacks a 'config' object")
         return {str(k): v for k, v in doc["config"].items()}
-    raw = {}
+    raw, first_line = {}, {}
     bad_lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -173,10 +171,15 @@ def _read_config_file(path: str) -> dict:
             bad_lines.append(f"line {lineno}: {line.strip()!r}")
             continue
         key, _, value = body.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            bad_lines.append(f"line {lineno}: {key} repeats line {first_line[key]}")
+            continue
+        first_line[key] = lineno
+        raw[key] = value.strip()
     if bad_lines:
         raise ConfigurationError(
-            "malformed config lines (want key = value): " + "; ".join(bad_lines)
+            "malformed config lines (want key = value, each key once): " + "; ".join(bad_lines)
         )
     return raw
 
@@ -365,13 +368,7 @@ def _run_nehari_check(cfg, ctx):
 
 
 def _run_instanton_verify(cfg, ctx):
-    report = expansion_suite(
-        cfg["N"],
-        cfg["R"],
-        cfg["eps_list"],
-        n_rho=cfg["n_rho"],
-        n_theta=cfg["n_quad_theta"],
-    )
+    report = expansion_suite(cfg["N"], cfg["R"], cfg["eps_list"])
     worst = 0.0
     for rec in report.records:
         ctx["outputs"][f"expansion_{rec.name.replace('/', '_')}.csv"] = [

@@ -367,14 +367,7 @@ class ExpansionReport:
         raise KeyError(name)
 
 
-def expansion_suite(
-    N: int,
-    radius: float,
-    eps_list,
-    n_rho: int = 24,
-    n_theta: int = 24,
-    domain: str = "ball",
-) -> ExpansionReport:
+def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> ExpansionReport:
     """Boundary-concentration expansions of the three cap masses.
 
     Fits the quadratic small-width model to the squared-gradient mass, the
@@ -401,7 +394,7 @@ def expansion_suite(
     if domain not in ("ball", "half_space"):
         raise DomainError(f"unknown domain {domain!r}")
     eps = _check_geometric(eps_list, 0.05 * radius)
-    quad = CapQuadrature(N=N, n_rho=n_rho, n_theta=n_theta, domain=domain, radius=radius)
+    quad = CapQuadrature(N=N, domain=domain, radius=radius)
 
     grads, m2s, m2t, ratios, deltas = [], [], [], [], []
     ts = float(ex.two_star)

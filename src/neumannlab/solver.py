@@ -11,8 +11,8 @@ rule is the dual norm sqrt(g . z) of the nodal derivative g.  Plain
 nodal derivatives chase the fine boundary cells of a stretched mesh and
 stall.  The two-loop recursion applies the limited-memory inverse
 Hessian, seeded with gamma Q^{-1}, gamma = s.y / y.Q^{-1}y from the
-newest pair, to g.  Q^{-1} is linear, so Q^{-1} of the recursion's
-dual combination g - sum a_k y_k is the same combination
+newest pair, to g.  The applied Q^{-1} is linear, so Q^{-1} of the
+recursion's dual combination g - sum a_k y_k is the same combination
 z - sum a_k dz_k of primal vectors, dz_k = Q^{-1} y_k = z_{k+1} - z_k.
 Each pair therefore keeps its dz, and an iteration makes exactly one
 Q^{-1} solve, the one for the new gradient.
@@ -31,17 +31,21 @@ finite fails the Armijo test.  Only an accepted trial is rescaled to
 critical mass 1, pinning the scale direction; I having degree 0, its
 triple and gradient follow by homogeneity: the step adds one Q^{-1} solve.
 
-Q^{-1} is solved exactly, with no factorization where the grid allows:
-conjugate gradients on Q, preconditioned with the inverse of its
-separable neighbour P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta,
-which lumps the angular mass of the a-term.  Each axis's pencil is one
-symmetric tridiagonal eigenproblem, so P^{-1} is four dense products
-(fast diagonalization: Lynch, Rice & Thomas 1964; Deville, Fischer &
-Mund 2002).  The spectrum of P^{-1} Q hugs 1, so a solve takes three or
-four iterations to the accuracy of a sparse LU.  The solver certifies
-that spectrum once per run; on a grid stretched so far that the
-eigenproblems lose their small eigenvalues, the certificate fails and
-the run solves with a sparse LU of Q instead.
+Q^{-1} is solved with no factorization where the grid allows: a
+Chebyshev iteration on Q (Golub & Varga 1961), preconditioned with the
+inverse of its separable neighbour
+P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta, which lumps the angular
+mass of the a-term.  Each axis's pencil is one symmetric tridiagonal
+eigenproblem, so P^{-1} is four dense products (fast diagonalization:
+Lynch, Rice & Thomas 1964; Deville, Fischer & Mund 2002).  The solver
+certifies once per run an interval [lo, hi] that holds the spectrum of
+the computed P^{-1} Q; that interval fixes the number of P^{-1} applies
+and bounds the Q-norm error by Q_RTOL, so a solve is one fixed symmetric
+linear operator with no stopping test.  The interval hugs 1, and a
+solve takes three or four applies to the accuracy of a sparse LU.  On a
+grid stretched so far that the eigenproblems lose their small
+eigenvalues, the certificate fails and the run solves with a sparse LU
+of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
 all its solves at fixed alpha.  A solve reports its winning descent's level
@@ -91,15 +95,13 @@ HISTORY = 5
 # starts whose final levels agree to this relative tolerance tie, and
 # the earliest listed one wins
 TIE_RTOL = 1e-12
-# A Q^{-1} solve stops once its residual's P^{-1}-norm is CG_RTOL of the
-# right-hand side's, the accuracy of a sparse LU.  That bounds the Q-norm
-# error by CG_RTOL sqrt(hi / lo) when the spectrum of P^{-1} Q, as
-# computed, is certified to lie in [lo, hi]; a grid whose certified
-# interval leaves CG_SPECTRUM gets a direct solve instead.  Inside it,
-# CG_MAX_ITERS iterations suffice, and a solve that needs more raises
-CG_RTOL = 1e-11
-CG_SPECTRUM = (0.5, 2.0)
-CG_MAX_ITERS = 30
+# A Q^{-1} solve reaches a Q-norm error of Q_RTOL times the solution's
+# Q-norm, the accuracy of a sparse LU.  The Chebyshev iteration reads its
+# number of P^{-1} applies off the interval [lo, hi] certified to hold the
+# spectrum of the computed P^{-1} Q; a grid whose interval leaves
+# P_SPECTRUM gets a direct solve instead, so at most 24 applies are made
+Q_RTOL = 1e-11
+P_SPECTRUM = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,10 @@ def _scaled_form(main, off, vecs, scale):
 
 
 def _separable_inverse(grid: AxiGrid, a: float):
-    """P^{-1} for P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta, or None
-    when the spectrum of the computed P^{-1} Q is not certified to lie
-    in CG_SPECTRUM.
+    """``(apply, lo, hi)``: P^{-1} for P = (K_r + a M_r) (x) D_theta +
+    D_r3 (x) K_theta, and an interval [lo, hi] certified to hold the
+    spectrum of the computed P^{-1} Q; or None when that interval leaves
+    P_SPECTRUM.
 
     With (K_r + a M_r) V = D_r3 V diag(lam) and K_theta W = D_theta W
     diag(mu), both bases orthonormal in their measures,
@@ -295,55 +298,50 @@ def _separable_inverse(grid: AxiGrid, a: float):
         sigma * _scaled_form(m_th[0] - d_th[0], m_th[1], w, 1.0 / np.sqrt(mu + sigma))
     )
     lo, hi = (1.0 - delta) * (1.0 + min(g[0], 0.0)), (1.0 + delta) * (1.0 + max(g[-1], 0.0))
-    if not CG_SPECTRUM[0] <= lo <= hi <= CG_SPECTRUM[1]:
+    if not P_SPECTRUM[0] <= lo <= hi <= P_SPECTRUM[1]:
         return None
     denom = lam[:, None] + mu
 
     def apply(x: np.ndarray) -> np.ndarray:
         return v @ ((v.T @ x @ w) / denom) @ w.T
 
-    return apply
+    return apply, float(lo), float(hi)
 
 
 def _energy_solver(grid: AxiGrid, a: float):
-    """Exact action of Q^{-1} for the descent metric: conjugate gradients
-    on Q, preconditioned with the separable P^{-1}, or a sparse LU of Q
-    on a grid too stretched for P^{-1} to be certified.
+    """Q^{-1} for the descent metric: a Chebyshev iteration on Q,
+    preconditioned with the separable P^{-1}, or a sparse LU of Q on a
+    grid too stretched for P^{-1} to be certified.
 
-    Raises NumericalFailure when a CG solve does not reach CG_RTOL
-    within CG_MAX_ITERS iterations.
+    With theta and delta the centre and half-width of the certified
+    interval and sigma = theta / delta, m P^{-1} applies leave a Q-norm
+    error of at most 1 / T_m(sigma) of the solution's, T_m the Chebyshev
+    polynomial; m is the least with T_m(sigma) >= 1 / Q_RTOL.  The solve
+    is one fixed polynomial in P^{-1} Q times P^{-1}, so it is linear and
+    symmetric; b = 0 gives 0, and a NaN in b gives a non-finite result.
     """
     q = energy_operator(grid, a)
-    p_inv = _separable_inverse(grid, a)
-    if p_inv is None:
+    certified = _separable_inverse(grid, a)
+    if certified is None:
         lu = splu(q.tocsc())
         return lambda arr: lu.solve(arr.ravel()).reshape(arr.shape)
+    p_inv, lo, hi = certified
+    theta, delta = (hi + lo) / 2.0, (hi - lo) / 2.0
+    sigma = theta / delta if delta > 0.0 else math.inf
+    applies = max(1, math.ceil(math.acosh(1.0 / Q_RTOL) / math.acosh(sigma)))
     shape = (grid.n_r, grid.n_theta)
 
     def solve(arr: np.ndarray) -> np.ndarray:
-        b = arr.reshape(shape)
-        x = np.zeros(shape)
-        r = b.copy()
-        z = p_inv(r)
-        rz = rz0 = float(np.vdot(r, z))
-        p = z
-        iters = 0
-        # written so that a NaN quadratic form runs into the cap; b = 0 gives 0
-        while not rz <= CG_RTOL**2 * rz0:
-            if iters == CG_MAX_ITERS:
-                raise NumericalFailure(
-                    f"Q^{{-1}} solve did not reach {CG_RTOL:g} in {CG_MAX_ITERS} CG iterations"
-                )
-            qp = (q @ p.ravel()).reshape(shape)
-            alpha = rz / float(np.vdot(p, qp))
-            x += alpha * p
-            r -= alpha * qp
-            z = p_inv(r)
-            rz_next = float(np.vdot(r, z))
-            p *= rz_next / rz
-            p += z
-            rz = rz_next
-            iters += 1
+        r = arr.reshape(shape)
+        d = p_inv(r) / theta
+        x = d
+        rho = 1.0 / sigma
+        for _ in range(applies - 1):
+            r = r - (q @ d.ravel()).reshape(shape)
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d = rho_next * rho * d + (2.0 * rho_next / delta) * p_inv(r)
+            x += d
+            rho = rho_next
         return x.reshape(arr.shape)
 
     return solve

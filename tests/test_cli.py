@@ -41,6 +41,14 @@ tau = 0.01
 """
 
 
+def override(text, extra):
+    """Config ``text`` with the lines of ``extra`` in place of its own
+    lines for the same keys, since a config gives each key once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
 TRIPLES = "a_bar,b,c,N\n1.0,0.5,1.0,5\n2.0,0.0,1.5,5\n"
 
 
@@ -60,7 +68,7 @@ class TestOutputDirectory:
         ],
     )
     def test_rejected_run_creates_nothing(self, subcommand, extra, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + extra)
+        cfg = write_cfg(tmp_path / "c.cfg", override(SMALL_SOLVER, extra))
         out = tmp_path / "run"
         assert cli.run(subcommand, config_path=cfg, output_dir=str(out)) == 2
         assert "validation error" in capsys.readouterr().err
@@ -228,6 +236,18 @@ class TestConfigRejection:
         assert "malformed config lines" in err and "line 2" in err and "n_r: 32" in err
         assert not out.exists()
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # a later value does not silently win: the file is rejected, the
+        # key and both its lines are named beside any malformed line, and
+        # nothing is written
+        cfg = write_cfg(tmp_path / "c.cfg", "n_r = 32\nN = 5\nn_r = 40\nn_theta: 32\n")
+        out = tmp_path / "run"
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert "line 3: n_r repeats line 1" in err
+        assert "line 4: 'n_theta: 32'" in err
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         assert cli.run("constants", config_path="/no/such/file.cfg") == 2
 
@@ -257,9 +277,10 @@ class TestConfigRejection:
         [("alpha_list", "1e999", "[1e999]"), ("a", "nan", "NaN"), ("grad_tol", "inf", "Infinity")],
     )
     def test_nonfinite_value_rejected(self, key, text, number, tmp_path, capsys):
-        # from config text and from a replayed manifest's JSON numbers; in
-        # both the later of two entries for a key wins
-        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + f"alpha_list = 1.0\n{key} = {text}\n")
+        # from config text, in place of the key's finite line, and from a
+        # replayed manifest's JSON numbers
+        body = override(SMALL_SOLVER + "alpha_list = 1.0\n", f"{key} = {text}\n")
+        cfg = write_cfg(tmp_path / "c.cfg", body)
         replay = write_cfg(
             tmp_path / "manifest.json",
             '{"config": {"n_r": 32, "n_theta": 32, "alpha_list": [1.0], "%s": %s}}' % (key, number),
@@ -421,16 +442,6 @@ class TestMinimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "not finite" in manifest["failure"]
 
-    def test_unconverged_q_solve_exits_3(self, tmp_path, capsys, monkeypatch):
-        # the identity is no preconditioner for Q, so CG hits its cap
-        monkeypatch.setattr(solver, "_separable_inverse", lambda grid, a: lambda x: x.copy())
-        out = tmp_path / "run"
-        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 2.0\n")
-        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 3
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "CG iterations" in manifest["failure"]
-        assert "accuracy failure" in capsys.readouterr().err
-
     def test_internal_error_exits_1_with_manifest(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("kernel exploded")
@@ -561,7 +572,7 @@ class TestSweepCommand:
 
 
     def test_unconverged_exits_3(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 3.0\nmax_iters = 2\n")
+        cfg = write_cfg(tmp_path / "c.cfg", override(SMALL_SOLVER, "alpha_list = 3.0\nmax_iters = 2\n"))
         out = tmp_path / "run"
         assert cli.run("sweep", config_path=cfg, output_dir=str(out)) == 3
         assert "alpha = 3" in capsys.readouterr().err
@@ -709,6 +720,12 @@ class TestInstantonVerifyCommand:
     def test_non_geometric_ladder_rejected(self, capsys):
         code = cli.run("instanton-verify", overrides={"eps_list": "0.001, 0.002, 0.005"})
         assert code == 2
+
+    def test_quadrature_keys_are_not_settable(self, capsys):
+        # the cap rule's resolution is CapQuadrature's own, not a config key
+        for key in ("n_rho", "n_quad_theta"):
+            with pytest.raises(cli.ConfigurationError, match=f"unknown keys: {key}"):
+                cli.resolve_config("instanton-verify", {key: "24"}, {})
 
 
 class TestThreads:
