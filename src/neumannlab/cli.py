@@ -67,8 +67,8 @@ from .instanton import expansion_suite
 from .nehari import NormTriple, big_I, lower_bound, project_t, psi, upper_bound
 from .solver import SolveConfig, estimate_alpha0, minimize, sweep_alpha
 
-# Geometric width ladder small enough for the quadratic small-width model
-# yet wide enough that Richardson extrapolation has leverage.
+# Geometric width ladder, in units of R, small enough for the quadratic
+# small-width model yet wide enough that Richardson extrapolation has leverage.
 DEFAULT_EPS = (0.00078125, 0.0015625, 0.003125, 0.00625, 0.0125)
 
 # One schema row per config key: parser, default (REQUIRED sentinel when

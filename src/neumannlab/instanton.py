@@ -373,7 +373,8 @@ def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> Ex
     Fits the quadratic small-width model to the squared-gradient mass, the
     critical mass, the trace-critical mass, the gradient/critical ratio,
     and the small parameter delta, and pairs each fitted coefficient with
-    its closed-form prediction.
+    its closed-form prediction.  ``eps_list`` is in units of the radius
+    (at most 0.05): the widths fitted are radius * eps_list.
 
     Two width conventions are in play.  The bubble here is normalized to
     u(0) = 1, so its half-width is sqrt(K) with K = N(N-2).  The classical
@@ -393,7 +394,7 @@ def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> Ex
         raise DomainError(f"radius > 0 required, got {radius}")
     if domain not in ("ball", "half_space"):
         raise DomainError(f"unknown domain {domain!r}")
-    eps = _check_geometric(eps_list, 0.05 * radius)
+    eps = radius * _check_geometric(eps_list, 0.05)
     quad = CapQuadrature(N=N, domain=domain, radius=radius)
 
     grads, m2s, m2t, ratios, deltas = [], [], [], [], []

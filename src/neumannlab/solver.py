@@ -348,7 +348,10 @@ def _energy_solver(grid: AxiGrid, a: float):
 
 
 def _dual_norm(garr: np.ndarray, solved: np.ndarray) -> float:
-    return float(math.sqrt(max(np.sum(garr * solved), 0.0)))
+    gz = float(np.sum(garr * solved))
+    if not 0.0 <= gz < math.inf:  # Q is positive definite
+        raise NumericalFailure(f"g . Q^-1 g is {gz:g}: the Q^-1 solve lost accuracy")
+    return math.sqrt(gz)
 
 
 def _lbfgs_direction(garr: np.ndarray, zarr: np.ndarray, history) -> np.ndarray:
@@ -484,8 +487,8 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     differences, weighted by the square roots of the edge coefficients.
     It is linear in C, so C is projected out in closed form, <t, b> /
     <b, b> for the edge parts t of the field and b of the unit bubble,
-    and a bounded search in log eps, taken about the blow-up length so
-    that its tolerance is absolute and clamped to the resolvable scale,
+    and a bounded search in log eps from ``grid.min_bubble_eps`` to R,
+    taken about the blow-up length so that its tolerance is absolute,
     minimizes the rest (variable projection: Golub & Pereyra 1973).  A
     peak whose ``pole_distance`` is far from both poles means the field
     is not concentrating there, and the fit is skipped, not forced:
@@ -512,7 +515,6 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     dist = pole_distance(grid, r, cos_theta, south)
     if dist > min(max(2.0 * delta_M, 2.0 * grid.min_bubble_eps), 0.2 * grid.R):
         return skipped
-    eps_floor = max(grid.min_bubble_eps, 1e-12)
     w_r, w_theta = np.sqrt(grid.r_edge_coeff), np.sqrt(grid.theta_edge_coeff)
 
     def edges(values):
@@ -523,7 +525,7 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     target = edges(field.values)
 
     def projected(x):  # x = log(eps / delta_M), eps kept resolvable
-        eps = max(delta_M * math.exp(x), eps_floor)
+        eps = max(delta_M * math.exp(x), grid.min_bubble_eps)
         b = edges(interpolate_instanton(grid, InstantonParams(eps), south).values)
         C = max(float(target @ b) / float(b @ b), 1e-12)
         return InstantonParams(eps=eps, amplitude=C), float(np.linalg.norm(target - C * b))
@@ -532,7 +534,7 @@ def fit_instanton(field: Field) -> BlowupDiagnostics:
     # itself has a kink the search's parabolic steps cannot follow
     sol = optimize.minimize_scalar(
         lambda x: projected(x)[1] ** 2,
-        bounds=(math.log(eps_floor / delta_M), math.log(grid.R / delta_M)),
+        bounds=(math.log(grid.min_bubble_eps / delta_M), math.log(grid.R / delta_M)),
         method="bounded",
         options={"xatol": 1e-12},
     )
@@ -652,7 +654,8 @@ def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid) -> Swee
 def _amax_bound(base_params, grid: AxiGrid) -> float:
     """The alpha at which the constant trial alone reaches the limiting
     level; below it the constant function certifies S_alpha below the
-    threshold, so alpha_0 can be no smaller."""
+    threshold, so alpha_0 can be no smaller.  A closed-form bracket keeps
+    it finite at every R the grid accepts, scaling as 1/R like alpha_0."""
     vol = grid.volume
     limit = sobolev_S(grid.N) / 2.0 ** (2.0 / grid.N)
 
@@ -661,12 +664,11 @@ def _amax_bound(base_params, grid: AxiGrid) -> float:
 
     if excess(0.0) >= 0.0:
         return 0.0
-    hi = 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            return float("inf")
-    return float(optimize.brentq(excess, 0.0, hi, xtol=1e-10))
+    # the constant's kappa base is at least alpha, so its level is at least
+    # (vol/tt)^{2/N} alpha^2 and the crossing lies below alpha_star; twice
+    # alpha_star keeps a sign change where a << alpha^2 makes that tight
+    alpha_star = math.sqrt(limit) * (float(base_params.exponents.two_tilde) / vol) ** (1.0 / grid.N)
+    return float(optimize.brentq(excess, 0.0, 2.0 * alpha_star, xtol=2e-12 * alpha_star))
 
 
 def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket) -> Alpha0Result:

@@ -1,5 +1,6 @@
 """Exit codes, config handling, and output files of the command line driver."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -442,6 +443,19 @@ class TestMinimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "not finite" in manifest["failure"]
 
+    def test_lost_positivity_exits_3(self, tmp_path, capsys):
+        # a R^2 = 1e-26: the solve's g . Q^-1 g comes out negative, which
+        # must stop the descent rather than read as a zero gradient
+        out = tmp_path / "run"
+        code = cli.run(
+            "minimize",
+            output_dir=str(out),
+            overrides={"n_r": 32, "n_theta": 32, "R": 1e-13, "alpha": 1e14},
+        )
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "Q^-1 solve lost accuracy" in manifest["failure"]
+
     def test_internal_error_exits_1_with_manifest(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("kernel exploded")
@@ -716,6 +730,23 @@ class TestInstantonVerifyCommand:
         assert float(row[4]) < 1e-2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["worst_rel_error"] < 0.05
+
+    def test_default_ladder_is_in_units_of_r(self, tmp_path, capsys):
+        # the ladder scales with R, so every fit, and its relative error,
+        # is the R = 1 fit's
+        for R in (1.0, 0.2):
+            assert cli.run("instanton-verify", output_dir=str(tmp_path / str(R)),
+                           overrides={"R": R}) == 0
+        paths = sorted((tmp_path / "1.0").glob("expansion_*.csv"))
+        assert len(paths) == 5
+        for path in paths:
+            rows = [list(csv.DictReader(p.read_text().splitlines()))
+                    for p in (path, tmp_path / "0.2" / path.name)]
+            want, got = ([float(r["rel_error"]) for r in rs] for rs in rows)
+            assert got == pytest.approx(want, rel=1e-9)
+            assert [float(r["eps"]) for r in rows[1]] == pytest.approx(
+                [0.2 * float(r["eps"]) for r in rows[0]], rel=1e-15
+            )
 
     def test_non_geometric_ladder_rejected(self, capsys):
         code = cli.run("instanton-verify", overrides={"eps_list": "0.001, 0.002, 0.005"})

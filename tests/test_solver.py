@@ -43,7 +43,9 @@ from neumannlab.solver import (
     TIE_RTOL,
     P_SPECTRUM,
     Q_RTOL,
+    _amax_bound,
     _descend,
+    _dual_norm,
     _energy_solver,
     _lbfgs_direction,
     _minimize_over_starts,
@@ -1018,3 +1020,75 @@ class TestEstimateAlpha0:
             estimate_alpha0(base, cfg, grid48, (2.0, 1.0))
         with pytest.raises(BracketError):
             estimate_alpha0(base, cfg, grid48, (0.1, 0.6))  # both sides below
+
+
+# u -> lam^{-(N-2)/2} u(./lam) maps the problem (R, a, alpha) to
+# (lam R, a / lam^2, alpha / lam) and keeps every level: a run at any R
+# is the R = 1 run, with its lengths times R and its alphas over R
+SCALED_RADII = (1e-13, 1e-8, 1e8)
+
+
+def _scaled_problem(R):
+    return make_params(5, 1.0 / R**2, 3.0 / R, R), build_grid(5, R, 32, 32, stretch=3.0)
+
+
+class TestScaleSymmetry:
+    def test_minimize_is_scale_free(self):
+        def run(R):
+            params, grid = _scaled_problem(R)
+            return minimize(params, SolveConfig(), grid)
+
+        ref = run(1.0)
+        for R in SCALED_RADII:
+            res = run(R)
+            assert [s.iterations for s in res.starts] == [s.iterations for s in ref.starts]
+            for s, s1 in zip(res.starts, ref.starts):
+                assert s.level == pytest.approx(s1.level, rel=1e-12)
+            diag, diag1 = res.diagnostics, ref.diagnostics
+            assert diag.boundary_flag == diag1.boundary_flag
+            assert diag.fit.eps / R == pytest.approx(diag1.fit.eps, rel=1e-7)
+
+    def test_alpha0_is_scale_free(self):
+        def run(R):
+            params, grid = _scaled_problem(R)
+            return estimate_alpha0(params, SolveConfig(), grid, (2.0 / R, 3.5 / R))
+
+        def scaled(out, R):
+            return [
+                out.alpha_hat * R,
+                out.certificate_below[0] * R,
+                out.certificate_above[0] * R,
+                out.analytic_amax_bound * R,
+                out.analytic_curvature_bound * R,
+            ] + [level for _, level, _ in out.evaluations]
+
+        want = scaled(run(1.0), 1.0)
+        for R in SCALED_RADII:
+            got = scaled(run(R), R)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("N, radii", [(5, (1e-34, 1e-8, 1e8, 1e34)), (30, (1e-4, 1e5))])
+    def test_amax_bound_finite_at_every_radius(self, N, radii):
+        # the extremes are the powers of ten that a 32 x 32, stretch 3 grid
+        # accepts; the bound is bracketed in closed form, with no cap
+        def bound(R):
+            grid = build_grid(N, R, 32, 32, stretch=3.0)
+            return _amax_bound(make_params(N, 1.0 / R**2, 0.0, R), grid) * R
+
+        want = bound(1.0)
+        for R in radii:
+            assert bound(R) == pytest.approx(want, rel=1e-12)
+
+
+class TestDualNorm:
+    def test_lost_positivity_is_a_failure(self):
+        # Q is positive definite, so g . Q^{-1} g < 0 is a failed solve,
+        # not a zero gradient; an exact zero is still a zero gradient
+        g = np.linspace(1.0, 2.0, 12).reshape(3, 4)
+        with pytest.raises(NumericalFailure, match="Q\\^-1"):
+            _dual_norm(g, -g)
+        with pytest.raises(NumericalFailure):
+            _dual_norm(g, np.full_like(g, np.nan))
+        assert _dual_norm(g, np.zeros_like(g)) == 0.0
+        assert _dual_norm(g, g) == math.sqrt(float(np.sum(g * g)))
