@@ -49,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -474,11 +475,35 @@ HANDLERS = {
 SUBCOMMANDS = tuple(HANDLERS)
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_pages() -> None:
+    """Keep the pages of freed arrays in the process.  glibc unmaps a
+    large block when it is freed and trims the heap past a threshold it
+    raises only when such a block is freed, so every kernel pass and
+    Q^{-1} solve would fault its temporaries' pages back in, zero-filled,
+    unless some larger block happened to be freed first.  Fixed
+    thresholds, 32 MiB for a block and 256 MiB for the heap's free top,
+    keep them.  On glibc only, and a value the caller exported wins."""
+    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")):
+        return
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         seed=None, threads=None) -> int:
     """Execute one subcommand; returns the process exit code.  ``seed``
     and ``threads``, when given, override those two config keys."""
     t0 = time.perf_counter()
+    _keep_freed_pages()
     ctx = {"outputs": {}, "summary": {}}
     cfg = None
     code = 0

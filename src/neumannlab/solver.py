@@ -31,20 +31,26 @@ finite fails the Armijo test.  Only an accepted trial is rescaled to
 critical mass 1, pinning the scale direction; I having degree 0, its
 triple and gradient follow by homogeneity: the step adds one Q^{-1} solve.
 
-Q^{-1} is solved with no factorization where the grid allows: a
-Chebyshev iteration on Q (Golub & Varga 1961), preconditioned with the
-inverse of its separable neighbour
-P = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta, which lumps the angular
-mass of the a-term.  Each axis's pencil is one symmetric tridiagonal
-eigenproblem, so P^{-1} is four dense products (fast diagonalization:
-Lynch, Rice & Thomas 1964; Deville, Fischer & Mund 2002).  The solver
-certifies once per run an interval [lo, hi] that holds the spectrum of
-the computed P^{-1} Q; that interval fixes the number of P^{-1} applies
-and bounds the Q-norm error by Q_RTOL, so a solve is one fixed symmetric
-linear operator with no stopping test.  The interval hugs 1, and a
-solve takes three or four applies to the accuracy of a sparse LU.  On a
-grid stretched so far that the eigenproblems lose their small
-eigenvalues, the certificate fails and the run solves with a sparse LU
+Q^{-1} is solved with no sparse factorization where the grid allows:
+a Chebyshev iteration (Golub & Varga 1961) in the angular eigenbasis.
+Q = (K_r + a M_r) (x) D_theta + D_r3 (x) K_theta + a M_r (x) (M_theta -
+D_theta) is its separable neighbour P plus the angular mass defect of the
+a-term.  The eigenvectors W of the pencil (K_theta, D_theta), computed to
+high relative accuracy by Cholesky and bidiagonal QR (Demmel & Kahan
+1990), turn P into one radial tridiagonal per angular mode (fast
+diagonalization along one axis: Lynch, Rice & Thomas 1964), all factored
+once per run; the mass defect becomes one dense coupling of the modes.
+A solve is a product with W into mode coordinates, a fixed number of
+tridiagonal solves with a coupled Q product between two, and a product
+with W back.  The solver certifies once per run that the basis is exact
+to a tenth of Q_RTOL and an interval [lo, hi] that holds the spectrum of
+the computed P^{-1} Q; that interval fixes the number of tridiagonal
+solves and bounds the Q-norm error by Q_RTOL, so a solve is one fixed
+symmetric linear operator with no stopping test.  The interval hugs 1,
+and a solve takes three or four tridiagonal solves to the accuracy of a
+sparse LU.  On a grid stretched so far that the tridiagonal solves lose
+the interval to rounding, or with a R^2 so small that the basis is not
+exact enough, the certificate fails and the run solves with a sparse LU
 of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
@@ -69,8 +75,8 @@ from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import eigh_tridiagonal
+from scipy import optimize, sparse
+from scipy.linalg.lapack import dpteqr, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
@@ -99,7 +105,8 @@ TIE_RTOL = 1e-12
 # Q-norm, the accuracy of a sparse LU.  The Chebyshev iteration reads its
 # number of P^{-1} applies off the interval [lo, hi] certified to hold the
 # spectrum of the computed P^{-1} Q; a grid whose interval leaves
-# P_SPECTRUM gets a direct solve instead, so at most 24 applies are made
+# P_SPECTRUM, or whose angular basis is off by more than Q_RTOL / 10, gets
+# a direct solve instead, so at most 24 applies are made
 Q_RTOL = 1e-11
 P_SPECTRUM = (0.5, 2.0)
 
@@ -236,13 +243,29 @@ def gradient_I(field: Field, params) -> tuple[NormTriple, np.ndarray]:
     return rep.triple, _envelope_prefactor(rep.triple) * d_psi
 
 
-def _axis_eigenpairs(main, off, measure):
-    """Eigenvalues and measure-orthonormal eigenvectors of one axis's
-    pencil (A, D): A the symmetric tridiagonal (main, off), D the
-    diagonal ``measure``, through the D^{-1/2}-scaled tridiagonal."""
+def _pencil_eigenpairs(main, off, measure, vectors=False):
+    """Eigenvalues, in descending order, of one axis's pencil (A, D): A
+    the symmetric tridiagonal (main, off), D the diagonal ``measure``;
+    with ``vectors``, also ``(values, V)``, the columns of V orthonormal
+    in D.  LAPACK ``dpteqr`` factors the D^{-1/2}-scaled band (Cholesky,
+    then bidiagonal QR: Demmel & Kahan 1990), so even where its entries
+    span many decades the eigenvalues keep high relative accuracy.  None
+    where the scaled band is not numerically positive definite."""
     s = 1.0 / np.sqrt(measure)
-    lam, vecs = eigh_tridiagonal(main * s * s, off * s[:-1] * s[1:])
-    return lam, s[:, None] * vecs
+    band = main * s * s, off * s[:-1] * s[1:]
+    if not all(np.all(np.isfinite(b)) for b in band):
+        return None  # which LAPACK would reject on stderr
+    n = len(main)
+    lam, _, z, info = dpteqr(*band, np.empty((n, n) if vectors else (1, 1)), compute_z=2 if vectors else 0)
+    if info != 0:
+        return None
+    if not vectors:
+        return lam
+    # a graded band's eigenvectors decay over many decades; entries under
+    # eps^2 of the unit columns change nothing the certificate can see,
+    # and zeroed they keep subnormals out of every product with the basis
+    z[np.abs(z) < np.finfo(float).eps ** 2] = 0.0
+    return lam, s[:, None] * z
 
 
 def _scaled_form(main, off, vecs, scale):
@@ -254,95 +277,149 @@ def _scaled_form(main, off, vecs, scale):
     return (vecs.T @ av) * scale[:, None] * scale
 
 
-def _separable_inverse(grid: AxiGrid, a: float):
-    """``(apply, lo, hi)``: P^{-1} for P = (K_r + a M_r) (x) D_theta +
-    D_r3 (x) K_theta, and an interval [lo, hi] certified to hold the
-    spectrum of the computed P^{-1} Q; or None when that interval leaves
-    P_SPECTRUM.
+class _ModeSolve(NamedTuple):
+    """Q in the angular eigenbasis W, as _separable_inverse certifies it.
+    A field X has mode coordinates Z = (X W)^T, an n_theta x n_r array
+    whose row j is mode j's radial profile, and X = (W Z)^T; ``p_inv``
+    and ``q`` act on such arrays."""
+    w: np.ndarray                 # (n_theta, n_theta)
+    p_inv: object                 # Z -> P~^{-1} Z, one dpttrs
+    q: object                     # Z -> Q' Z
+    lo: float                     # [lo, hi] holds the spectrum of the computed P~^{-1} Q'
+    hi: float
+    eta: float                    # the basis's defect: |Q~ - Q'| <= eta Q'
 
-    With (K_r + a M_r) V = D_r3 V diag(lam) and K_theta W = D_theta W
-    diag(mu), both bases orthonormal in their measures,
-    P^{-1} X = V [(V^T X W) / (lam_i + mu_j)] W^T.
 
-    The certificate multiplies two ranges of Rayleigh quotients.
-    - Q / P: Q - P = a M_r (x) E, E = M_theta - D_theta.  In the
-      eigenbases a M_r is at most sigma I, sigma = a max eig(M_r, D_r3),
-      and at most diag(lam); so where g_lo <= G <= g_hi for
-      G = sigma (mu + sigma)^{-1/2} W^T E W (mu + sigma)^{-1/2}, Q / P
-      lies in [1 + min(g_lo, 0), 1 + max(g_hi, 0)].
-    - P against the inverse of the computed P^{-1}: the eigensolver works
-      on D^{-1/2}-scaled bands, whose entries grow like the inverse of
-      the smallest cells, and strong stretches cost it the small
-      eigenvalues.  The defects of V^T (K_r + a M_r) V against diag(lam),
-      relative to lam, and of W^T K_theta W against diag(mu), relative
-      to mu + min lam, sum (in Frobenius norm) to delta, and the quotient
-      lies in [1 - delta, 1 + delta].  The scaled eigenvectors are
-      orthonormal to working precision, so the measures add rounding only.
+def _separable_inverse(grid: AxiGrid, a: float) -> Optional[_ModeSolve]:
+    """Q and its separable neighbour P in the angular eigenbasis, with an
+    interval certified to hold the spectrum of the computed P^{-1} Q; or
+    None where the basis or the interval cannot be certified.
+
+    lam_min is the least eigenvalue of the radial pencil (A_r, D_r3),
+    A_r = K_r + a M_r, and (K_theta + lam_min D_theta) W = D_theta W Lam,
+    W^T D_theta W = I; mu = Lam - lam_min.  In the coordinates Z,
+    Q' Z = Z A_r + diag(mu) Z D_r3 + E^ (Z a M_r), E^ = W^T (M_theta -
+    D_theta) W, is Q in the computed basis up to the basis's defect.
+    Its first two terms, P~, are P = A_r (x) D_theta + D_r3 (x) K_theta
+    in the basis: one radial tridiagonal A_r + mu_j D_r3 per mode,
+    stacked into one tridiagonal with no coupling between blocks and
+    factored once.
+
+    The certificate bounds three things.
+    - The basis: Q~, Q in the computed W, differs from Q' by
+      A_r (x) (W^T D_theta W - I) + D_r3 (x) (W^T K_theta W - diag mu), at
+      most P~ times the sum of |W^T D_theta W - I| and
+      |Lam^{-1/2} (W^T K_theta W - diag mu) Lam^{-1/2}| (Frobenius norms),
+      since P~ >= A_r (x) I and P~ >= D_r3 (x) Lam.  Divided by the least
+      Q' / P~ below, that is eta, which adds straight to a solve's
+      Q-norm error: a grid is accepted only where eta <= Q_RTOL / 10.
+    - Q' / P~: Q' - P~ = a M_r (x) E^, and a M_r is at most sigma D_r3,
+      sigma = a max eig(M_r, D_r3), and at most A_r; so where g_lo <= G
+      <= g_hi for G = sigma (mu + sigma)^{-1/2} E^ (mu + sigma)^{-1/2},
+      Q' / P~ lies in [1 + min(g_lo, 0), 1 + max(g_hi, 0)].
+    - P~ against the computed P~^{-1}: an LDL^T solve of a tridiagonal T
+      with positive pivots is exact for some T + dT, |dT| <= 5 u |T|
+      (Higham 2002 on tridiagonal LU: 4u |L||D||L^T|, and that is |T| to
+      rounding).  As x^T T x >= |x|^T <T> |x| for the comparison matrix
+      <T> = 2 diag(T) - |T|, |x^T dT x| <= 5 u kappa x^T T x with kappa
+      the largest eigenvalue of (|A_r|, <A_r>) (<A_r> = A_r where A_r's
+      off-diagonal is negative, as the stiffness makes it).  For nu the
+      least eigenvalue of (<A_r>, diag(A_r)), kappa = (2 - nu) / nu, and
+      the quotient lies in [1 / (1 + delta), 1 / (1 - delta)] for
+      delta = 5 u kappa.
     """
     (k_r, d_r3, m_r), (k_th, d_th, m_th) = grid.radial, grid.angular
     a_main, a_off = k_r[0] + a * m_r[0], k_r[1] + a * m_r[1]
-    lam, v = _axis_eigenpairs(a_main, a_off, d_r3[0])
-    mu, w = _axis_eigenpairs(k_th[0], k_th[1], d_th[0])
+    lam = _pencil_eigenpairs(a_main, a_off, d_r3[0])
+    mass = _pencil_eigenpairs(m_r[0], m_r[1], d_r3[0])
+    nu = _pencil_eigenpairs(a_main, -np.abs(a_off), a_main)
+    if lam is None or mass is None or nu is None:
+        return None
+    lam_min = lam.min()
+    basis = _pencil_eigenpairs(k_th[0] + lam_min * d_th[0], k_th[1], d_th[0], vectors=True)
+    if basis is None:
+        return None
+    ev, w = basis
+    mu = ev - lam_min
+    sigma = a * mass.max()
+    e_hat = _scaled_form(m_th[0] - d_th[0], m_th[1], w, np.ones_like(mu))
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam_s, mu_s = 1.0 / np.sqrt(lam), 1.0 / np.sqrt(mu + lam.min())
-        delta = np.linalg.norm(_scaled_form(a_main, a_off, v, lam_s) - np.diag(lam * lam_s**2))
-        delta += np.linalg.norm(_scaled_form(k_th[0], k_th[1], w, mu_s) - np.diag(mu * mu_s**2))
-    # NaN when some lam or mu + min lam is not positive
-    if not delta < 1.0:
+        scale = 1.0 / np.sqrt(mu + sigma)
+        g = np.linalg.eigvalsh(sigma * e_hat * scale[:, None] * scale)
+        q_lo, q_hi = 1.0 + min(g[0], 0.0), 1.0 + max(g[-1], 0.0)
+        ev_s = 1.0 / np.sqrt(ev)
+        eta = np.linalg.norm((w.T * d_th[0]) @ w - np.eye(len(mu))) + np.linalg.norm(
+            _scaled_form(k_th[0], k_th[1], w, ev_s) - np.diag(mu * ev_s**2)
+        )
+        eta /= q_lo
+        delta = 2.5 * np.finfo(float).eps * (2.0 - nu.min()) / nu.min()
+        lo, hi = q_lo / (1.0 + delta), q_hi / (1.0 - delta)
+    # NaN where some mu + sigma is not positive
+    if not (eta <= Q_RTOL / 10.0 and P_SPECTRUM[0] <= lo <= hi <= P_SPECTRUM[1]):
         return None
-    s, top = 1.0 / np.sqrt(d_r3[0]), grid.n_r - 1
-    sigma = a * eigh_tridiagonal(
-        m_r[0] * s * s, m_r[1] * s[:-1] * s[1:], eigvals_only=True, select="i", select_range=(top, top)
-    )[0]
-    g = np.linalg.eigvalsh(
-        sigma * _scaled_form(m_th[0] - d_th[0], m_th[1], w, 1.0 / np.sqrt(mu + sigma))
-    )
-    lo, hi = (1.0 - delta) * (1.0 + min(g[0], 0.0)), (1.0 + delta) * (1.0 + max(g[-1], 0.0))
-    if not P_SPECTRUM[0] <= lo <= hi <= P_SPECTRUM[1]:
+    # the stacked tridiagonals T = P~ and a M_r, one radial block per
+    # mode, as the (-1, 0, 1) diagonals of DIA matrices over Z's rows
+    n = grid.n_r * grid.n_theta
+    bands = np.zeros((2, 3, grid.n_theta, grid.n_r))
+    bands[0, 1] = a_main + mu[:, None] * d_r3[0]
+    bands[1, 1] = a * m_r[0]
+    bands[0, 0, :, :-1] = bands[0, 2, :, 1:] = a_off
+    bands[1, 0, :, :-1] = bands[1, 2, :, 1:] = a * m_r[1]
+    t, am = (sparse.dia_matrix((b.reshape(3, n), (-1, 0, 1)), shape=(n, n)) for b in bands)
+    factor_d, factor_e, info = dpttrf(bands[0, 1].ravel(), bands[0, 2].ravel()[1:])
+    if info != 0:
         return None
-    denom = lam[:, None] + mu
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        return v @ ((v.T @ x @ w) / denom) @ w.T
+    def p_inv(z):
+        return dpttrs(factor_d, factor_e, z.reshape(-1, 1))[0].reshape(z.shape)
 
-    return apply, float(lo), float(hi)
+    def q(z):
+        flat = z.ravel()
+        qz = (t @ flat).reshape(z.shape)
+        qz += e_hat @ (am @ flat).reshape(z.shape)
+        return qz
+
+    return _ModeSolve(w, p_inv, q, float(lo), float(hi), float(eta))
 
 
 def _energy_solver(grid: AxiGrid, a: float):
-    """Q^{-1} for the descent metric: a Chebyshev iteration on Q,
-    preconditioned with the separable P^{-1}, or a sparse LU of Q on a
-    grid too stretched for P^{-1} to be certified.
+    """Q^{-1} for the descent metric: a Chebyshev iteration on Q' in the
+    angular eigenbasis, preconditioned with P~^{-1}, or a sparse LU of Q
+    on a grid where _separable_inverse certifies no interval.
 
     With theta and delta the centre and half-width of the certified
-    interval and sigma = theta / delta, m P^{-1} applies leave a Q-norm
+    interval and sigma = theta / delta, m P~^{-1} applies leave a Q'-norm
     error of at most 1 / T_m(sigma) of the solution's, T_m the Chebyshev
-    polynomial; m is the least with T_m(sigma) >= 1 / Q_RTOL.  The solve
-    is one fixed polynomial in P^{-1} Q times P^{-1}, so it is linear and
-    symmetric; b = 0 gives 0, and a NaN in b gives a non-finite result.
+    polynomial, and the basis adds at most eta; m is the least with
+    1 / T_m(sigma) <= Q_RTOL - eta.  A solve is one GEMM into the mode
+    coordinates, m applies (one dpttrs each) with a Q' product between
+    two (one GEMM with E^ each), and one GEMM back: m + 1 dense products,
+    and no Q is assembled.  It is one fixed polynomial in P~^{-1} Q'
+    times P~^{-1}, so it is linear and symmetric; b = 0 gives 0, and a
+    NaN in b gives a non-finite result.
     """
-    q = energy_operator(grid, a)
-    certified = _separable_inverse(grid, a)
-    if certified is None:
-        lu = splu(q.tocsc())
+    modes = _separable_inverse(grid, a)
+    if modes is None:
+        lu = splu(energy_operator(grid, a).tocsc())
         return lambda arr: lu.solve(arr.ravel()).reshape(arr.shape)
-    p_inv, lo, hi = certified
+    w, p_inv, q, lo, hi, eta = modes
     theta, delta = (hi + lo) / 2.0, (hi - lo) / 2.0
     sigma = theta / delta if delta > 0.0 else math.inf
-    applies = max(1, math.ceil(math.acosh(1.0 / Q_RTOL) / math.acosh(sigma)))
+    applies = max(1, math.ceil(math.acosh(1.0 / (Q_RTOL - eta)) / math.acosh(sigma)))
     shape = (grid.n_r, grid.n_theta)
 
     def solve(arr: np.ndarray) -> np.ndarray:
-        r = arr.reshape(shape)
+        r = w.T @ arr.reshape(shape).T
         d = p_inv(r) / theta
         x = d
         rho = 1.0 / sigma
         for _ in range(applies - 1):
-            r = r - (q @ d.ravel()).reshape(shape)
+            r -= q(d)
             rho_next = 1.0 / (2.0 * sigma - rho)
             d = rho_next * rho * d + (2.0 * rho_next / delta) * p_inv(r)
             x += d
             rho = rho_next
-        return x.reshape(arr.shape)
+        return (x.T @ w.T).reshape(arr.shape)
 
     return solve
 

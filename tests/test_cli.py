@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -800,6 +801,43 @@ class TestThreads:
             [sys.executable, "-c", read], env=env, capture_output=True, text=True, check=True, timeout=60
         )
         assert out.stdout.split() == [want, "1"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt and RUSAGE_THREAD")
+class TestFreedPages:
+    # ten kernel passes and Q^{-1} solves at 128^2, in a fresh process so
+    # that no earlier run has set the allocator, print their page faults
+    PASSES = """
+import resource, numpy as np, neumannlab.cli as cli, neumannlab.solver as s
+from neumannlab.constants import make_params
+from neumannlab.domain_grid import build_grid, Field
+cli._keep_freed_pages()
+g, p = build_grid(5, 1.0, 128, 128, stretch=4.0), make_params(5, 1.0, 3.5)
+u = Field(g, 0.2 + np.random.default_rng(0).random((128, 128)))
+solve = s._energy_solver(g, 1.0)
+solve(s.gradient_I(u, p)[1])
+f0 = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+for _ in range(10):
+    solve(s.gradient_I(u, p)[1])
+print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - f0)
+"""
+
+    def faults(self, **preset):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env.update(preset, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.PASSES], env=env, capture_output=True, text=True, check=True,
+            timeout=120,
+        )
+        return int(out.stdout)
+
+    def test_passes_keep_their_pages(self):
+        # a pass and a solve allocate about 2 MB of temporaries, 500 pages
+        assert self.faults() < 100
+
+    def test_exported_threshold_wins(self):
+        # the caller's trim threshold of 0 gives every freed page back
+        assert self.faults(MALLOC_TRIM_THRESHOLD_="0") > 1000
 
 
 class TestArgumentParser:

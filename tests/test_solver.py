@@ -664,10 +664,10 @@ def _q_norm(q, v):
 
 
 class TestEnergySolver:
-    """_energy_solver is an exact Q^{-1}: a Chebyshev iteration
-    preconditioned with the separable P^{-1} where that is certified, to
-    the accuracy of a direct solve, and the direct solve itself where it
-    is not."""
+    """_energy_solver is an exact Q^{-1}: a Chebyshev iteration in the
+    angular eigenbasis, preconditioned with the stacked radial
+    tridiagonals P~, where that is certified, to the accuracy of a direct
+    solve, and the direct solve itself where it is not."""
 
     @pytest.mark.parametrize(
         "N, shape, stretch, a",
@@ -677,12 +677,17 @@ class TestEnergySolver:
             (5, (128, 128), 4.0, 1.0),
             (5, (256, 256), 8.0, 1.0),
             (7, (40, 36), 2.0, 1.0),
-            # the strongest stretches the certificate passes
             (5, (32, 32), 15.0, 1.0),
             (5, (32, 32), 16.0, 1.0),
             (5, (128, 128), 14.0, 1.0),
             # a large a on a coarse grid widens the interval: 13 applies
             (5, (32, 32), 4.0, 50.0),
+            # strong stretches: the tridiagonal solves' rounding widens the
+            # interval, to 15 applies at stretch 30
+            (5, (32, 32), 17.0, 1.0),
+            (5, (32, 32), 20.0, 1.0),
+            (5, (32, 32), 30.0, 1.0),
+            (5, (128, 128), 16.0, 1.0),
         ],
     )
     def test_matches_direct_solve(self, N, shape, stretch, a):
@@ -710,6 +715,7 @@ class TestEnergySolver:
         assert _q_norm(q, got - x) <= 1e-10 * _q_norm(q, x)
 
     def test_preconditioner_inverts_the_separable_operator(self):
+        # P~^{-1} between the two changes of basis is the nodal P^{-1}
         g = build_grid(5, 1.0, 32, 40, stretch=3.0)
         (k_r, d_r3, m_r), (k_th, d_th, _) = g.radial, g.angular
 
@@ -722,64 +728,121 @@ class TestEnergySolver:
         )
         y = np.random.default_rng(7).standard_normal((32, 40))
         want = splu(p_mat.tocsc()).solve(y.ravel()).reshape(y.shape)
-        got = _separable_inverse(g, 1.5)[0](y)
+        modes = _separable_inverse(g, 1.5)
+        got = (modes.w @ modes.p_inv((y @ modes.w).T)).T
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+    @staticmethod
+    def _preconditioned_spectrum(modes, n):
+        unit = np.eye(n * n).reshape(-1, n, n)
+        p_inv = np.stack([modes.p_inv(e).ravel() for e in unit], axis=1)
+        q = np.stack([modes.q(e).ravel() for e in unit], axis=1)
+        return np.linalg.eigvals(p_inv @ q)
 
     @pytest.mark.parametrize("stretch, a", [(16.0, 1.0), (4.0, 50.0)])
     def test_certified_spectrum_holds(self, stretch, a):
         # the premise of the step count, checked on the whole spectrum of
-        # the computed P^{-1} Q: at the certificate's strongest stretch,
-        # and with a large a, where Q and P differ most
+        # the computed P~^{-1} Q': at a strong stretch, and with a large a,
+        # where Q and P differ most
         g = build_grid(5, 1.0, 32, 32, stretch=stretch)
-        p_inv, lo, hi = _separable_inverse(g, a)
-        z = np.stack([p_inv(col.reshape(32, 32)).ravel() for col in np.eye(32 * 32)], axis=1)
-        ev = np.linalg.eigvals(z @ energy_operator(g, a).toarray())
+        modes = _separable_inverse(g, a)
+        ev = self._preconditioned_spectrum(modes, 32)
         assert np.abs(ev.imag).max() <= 1e-8
-        assert lo <= ev.real.min() <= ev.real.max() <= hi
-        assert P_SPECTRUM[0] <= lo <= hi <= P_SPECTRUM[1]
+        assert modes.lo <= ev.real.min() <= ev.real.max() <= modes.hi
+        assert P_SPECTRUM[0] <= modes.lo <= modes.hi <= P_SPECTRUM[1]
+
+    def test_certified_spectrum_holds_at_the_strongest_stretch(self):
+        # at 32^2 stretch 30 the tridiagonal solves' rounding, bounded by
+        # delta = 5 u kappa, is 0.12 of P~, and Q' spans 27 decades, so the
+        # realized P~^{-1} Q' is no longer symmetric to working precision:
+        # its eigenvalues leave the real axis by 4e-4, far inside the
+        # certified interval, whose ends moved out by delta
+        g = build_grid(5, 1.0, 32, 32, stretch=30.0)
+        modes = _separable_inverse(g, 1.0)
+        ev = self._preconditioned_spectrum(modes, 32)
+        assert np.abs(ev.imag).max() <= 1e-3
+        assert modes.lo <= ev.real.min() <= ev.real.max() <= modes.hi
+        assert P_SPECTRUM[0] <= modes.lo <= modes.hi <= P_SPECTRUM[1]
 
     @pytest.mark.parametrize("n, want", [(96, 4), (128, 4), (256, 3)])
     def test_apply_count_is_certified(self, n, want, monkeypatch):
-        # every solve makes the m P^{-1} applies that the certified
-        # interval gives, whatever its right-hand side
+        # every solve makes the m P~^{-1} applies, one tridiagonal solve
+        # each, that the certified interval gives, whatever its right-hand side
         g = build_grid(5, 1.0, n, n, stretch=4.0)
-        p_inv, lo, hi = _separable_inverse(g, 1.0)
+        modes = _separable_inverse(g, 1.0)
         calls = []
+        real_dpttrs = solver.dpttrs
 
-        def counted(x):
+        def counted(*args):
             calls.append(1)
-            return p_inv(x)
+            return real_dpttrs(*args)
 
-        monkeypatch.setattr(solver, "_separable_inverse", lambda grid, a: (counted, lo, hi))
+        monkeypatch.setattr(solver, "dpttrs", counted)
         solve = _energy_solver(g, 1.0)
         counts = []
         for seed in range(3):
             calls.clear()
             solve(np.random.default_rng(seed).standard_normal((n, n)))
             counts.append(len(calls))
-        sigma = (hi + lo) / (hi - lo)
-        m = max(1, math.ceil(math.acosh(1.0 / Q_RTOL) / math.acosh(sigma)))
+        sigma = (modes.hi + modes.lo) / (modes.hi - modes.lo)
+        m = max(1, math.ceil(math.acosh(1.0 / (Q_RTOL - modes.eta)) / math.acosh(sigma)))
         assert counts == [m, m, m]
         assert m == want
+
+    def test_certified_grid_assembles_no_operator(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("energy_operator assembled on a certified grid")
+
+        g = build_grid(5, 1.0, 96, 96, stretch=4.0)
+        monkeypatch.setattr(solver, "energy_operator", refused)
+        solve = _energy_solver(g, 1.0)
+        assert np.all(np.isfinite(solve(np.ones((96, 96)))))
+
+    @pytest.mark.parametrize("shape, stretch", [((96, 96), 4.0), ((128, 128), 16.0)])
+    def test_solve_is_symmetric_and_linear(self, shape, stretch):
+        # the premises of the L-BFGS identity dz = Q^{-1} y and of the
+        # dual norm g . Q^{-1} g, on a benchmark grid and on a strong
+        # stretch
+        g = build_grid(5, 1.0, *shape, stretch=stretch)
+        assert _separable_inverse(g, 1.0) is not None
+        solve = _energy_solver(g, 1.0)
+        u, v = np.random.default_rng(9).standard_normal((2, *shape))
+        su, sv = solve(u), solve(v)
+        scale = math.sqrt(np.vdot(u, su) * np.vdot(v, sv))
+        assert abs(np.vdot(u, sv) - np.vdot(v, su)) <= 1e-12 * scale
+        q = energy_operator(g, 1.0)
+        combined = solve(2.0 * u - 3.0 * v)
+        assert _q_norm(q, combined - (2.0 * su - 3.0 * sv)) <= 1e-12 * _q_norm(q, combined)
 
     def test_zero_right_hand_side(self, grid48):
         assert not _energy_solver(grid48, 1.0)(np.zeros((48, 48))).any()
 
     @pytest.mark.parametrize(
         "shape, stretch",
-        [((32, 32), 17.0), ((32, 32), 20.0), ((32, 32), 30.0), ((32, 32), 36.0), ((96, 96), 35.5),
-         ((128, 128), 16.0)],
+        [((32, 32), 32.0), ((64, 64), 30.0), ((128, 128), 32.0), ((32, 32), 36.0), ((96, 96), 35.5)],
     )
     def test_too_stretched_grid_gets_the_direct_solve(self, shape, stretch):
-        # stretches build_grid accepts but whose near-axis measures cost
-        # the eigensolver the small eigenvalues: no certificate, so the
-        # solve is splu's own
+        # stretches build_grid accepts but whose tridiagonal solves lose
+        # too much to rounding, or whose radial pencil is not numerically
+        # definite: no certificate, so the solve is splu's own
         g = build_grid(5, 1.0, *shape, stretch=stretch)
         assert _separable_inverse(g, 1.0) is None
         q = energy_operator(g, 1.0)
         b = np.random.default_rng(8).standard_normal(shape)
         want = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
         np.testing.assert_array_equal(_energy_solver(g, 1.0)(b), want)
+
+    @pytest.mark.parametrize("shape, stretch, a", [((96, 96), 4.0, 1e-11), ((32, 32), 0.0, 1e-13)])
+    def test_small_a_gets_the_direct_solve(self, shape, stretch, a):
+        # a basis whose defect, relative to the small eigenvalues a makes,
+        # exceeds Q_RTOL / 10 is rejected: a mode-coordinate solve there
+        # is off by far more than a direct solve
+        g = build_grid(5, 1.0, *shape, stretch=stretch)
+        assert _separable_inverse(g, a) is None
+        q = energy_operator(g, a)
+        b = np.random.default_rng(8).standard_normal(shape)
+        want = splu(q.tocsc()).solve(b.ravel()).reshape(shape)
+        np.testing.assert_array_equal(_energy_solver(g, a)(b), want)
 
     def test_nan_right_hand_side_is_not_finite(self, grid48):
         # the descent's riesz step turns this into a NumericalFailure
