@@ -396,48 +396,24 @@ def norms(field: Field, params: ProblemParams) -> NormReport:
     return norm_gradients(field, params)[0]
 
 
-def energy_operator(grid: AxiGrid, a: float) -> sparse.dia_matrix:
+def energy_operator(grid: AxiGrid, a: float) -> sparse.csc_matrix:
     """Sparse symmetric Q with u^T Q u = |grad u|_2^2 + a |u|_2^2.
 
-    Q = K_r (x) D_theta + D_r3 (x) K_theta + a M_r (x) M_theta, from the
-    grid's 1-D factors, which its edge coefficients and Gauss weights
-    are outer products of; so the quadratic part of the functional is
-    exactly u^T Q u, and the consistent mass makes Q strictly definite.
-
-    Q is stored by its nine diagonals, in ascending offset order, with
-    no index arrays.  Its product then sums each row in the column order
-    of ``Q.tocsr()``, whose product it reproduces bit for bit; a direct
-    solve factorizes ``Q.tocsc()``.
+    Q = K_r (x) D_theta + D_r3 (x) K_theta + a M_r (x) M_theta, the
+    Kronecker sum of the grid's 1-D factors, which its edge coefficients
+    and Gauss weights are outer products of; so the quadratic part of the
+    functional is exactly u^T Q u, and the consistent mass makes Q
+    strictly definite.  Q is assembled only for a sparse LU, so it comes
+    in the CSC form ``splu`` factors, with sorted indices.
     """
     if not a > 0:
         raise DomainError(f"a > 0 required, got {a}")
-    n_r, n_th = grid.n_r, grid.n_theta
-    (k_r, d_r3, m_r), (k_th, d_th, m_th) = grid.radial, grid.angular
-    # The band of offset k = di n_th + dj couples node p = (i, j) to node
-    # p + k = (i + di, j + dj) in row-major order; there the band of
-    # A (x) B is outer(A_di, B_|dj|), with A_0 the main and A_1 the off
-    # diagonal, and the diagonal D reaches no neighbor on its own axis.
-    # Diagonal k of a DIA matrix keeps entry (p, p + k) in column p + k,
-    # so the bands themselves are diagonals -k (rows 0..4 of ``data``,
-    # zero past the last node they couple), and diagonals +k are them
-    # shifted k columns on.
-    offsets = (0, 1, n_th - 1, n_th, n_th + 1)
-    n = n_r * n_th
-    data = np.zeros((2 * len(offsets) - 1, n))
-    down_right, down, down_left, right, diag = data[:len(offsets)].reshape(len(offsets), n_r, n_th)
-    diag += np.outer(k_r[0], d_th[0])
-    diag += np.outer(d_r3[0], k_th[0])
-    diag += np.outer(a * m_r[0], m_th[0])
-    right[:, :-1] = np.outer(d_r3[0], k_th[1])
-    right[:, :-1] += np.outer(a * m_r[0], m_th[1])
-    down[:-1] = np.outer(k_r[1], d_th[0])
-    down[:-1] += np.outer(a * m_r[1], m_th[0])
-    down_right[:-1, :-1] = down_left[:-1, 1:] = np.outer(a * m_r[1], m_th[1])
-    for m, k in enumerate(offsets[1:], 1):
-        data[4 + m, k:] = data[4 - m, : n - k]
-    return sparse.dia_matrix(
-        (data, tuple(-k for k in offsets[:0:-1]) + offsets), shape=(n, n)
+    (k_r, d_r3, m_r), (k_th, d_th, m_th) = (
+        [sparse.diags([off, main, off], [-1, 0, 1]) for main, off in factor]
+        for factor in (grid.radial, grid.angular)
     )
+    q = sparse.kron(k_r, d_th, format="csc") + sparse.kron(d_r3, k_th, format="csc")
+    return q + sparse.kron(a * m_r, m_th, format="csc")
 
 
 def pole_distance(grid: AxiGrid, r, cos_theta, south: bool = False):

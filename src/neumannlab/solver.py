@@ -382,6 +382,12 @@ def _separable_inverse(grid: AxiGrid, a: float) -> Optional[_ModeSolve]:
     return _ModeSolve(w, p_inv, q, float(lo), float(hi), float(eta))
 
 
+def _direct_solver(grid: AxiGrid, a: float):
+    """Q^{-1} by a sparse LU of Q."""
+    lu = splu(energy_operator(grid, a))
+    return lambda arr: lu.solve(arr.ravel()).reshape(arr.shape)
+
+
 def _energy_solver(grid: AxiGrid, a: float):
     """Q^{-1} for the descent metric: a Chebyshev iteration on Q' in the
     angular eigenbasis, preconditioned with P~^{-1}, or a sparse LU of Q
@@ -400,8 +406,7 @@ def _energy_solver(grid: AxiGrid, a: float):
     """
     modes = _separable_inverse(grid, a)
     if modes is None:
-        lu = splu(energy_operator(grid, a).tocsc())
-        return lambda arr: lu.solve(arr.ravel()).reshape(arr.shape)
+        return _direct_solver(grid, a)
     w, p_inv, q, lo, hi, eta = modes
     theta, delta = (hi + lo) / 2.0, (hi - lo) / 2.0
     sigma = theta / delta if delta > 0.0 else math.inf
@@ -546,8 +551,7 @@ def euler_lagrange_residual(field: Field, params, solve_q=None) -> float:
     res = d_psi / t
     if solve_q is None:
         # a direct solve, independent of the descent's iterative one
-        lu = splu(energy_operator(field.grid, params.a).tocsc())
-        return _dual_norm(res, lu.solve(res.ravel()).reshape(res.shape))
+        solve_q = _direct_solver(field.grid, params.a)
     return _dual_norm(res, solve_q(res))
 
 

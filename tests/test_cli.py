@@ -250,6 +250,22 @@ class TestConfigRejection:
         assert "line 4: 'n_theta: 32'" in err
         assert not out.exists()
 
+    def test_malformed_json_config(self, tmp_path, capsys):
+        # a file that opens with { is read as a manifest, and one that is
+        # not JSON is rejected input, with nothing written
+        cfg = write_cfg(tmp_path / "c.json", '{"config": {"n_r": 32,}\n')
+        out = tmp_path / "run"
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_config_without_config_object(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", '{"subcommand": "minimize", "seed": 0}\n')
+        out = tmp_path / "run"
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out)) == 2
+        assert "lacks a 'config' object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         assert cli.run("constants", config_path="/no/such/file.cfg") == 2
 
@@ -618,6 +634,22 @@ class TestAlpha0Command:
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha_list = 3.5, 2.0\n")
         assert cli.run("alpha0", config_path=cfg) == 2
 
+    def test_lower_bracket_over_the_threshold_exits_3(self, tmp_path, capsys):
+        # the level at the lower bracket is already over the threshold: an
+        # accuracy failure that names the bracket to move, with only the
+        # manifest written
+        out = tmp_path / "run"
+        argv = ["alpha0", "--n-r", "32", "--n-theta", "32", "--alpha-list", "3.5,4", "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert "move the lower bracket down" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == []
+        failure = manifest["failure"]
+        assert failure.startswith("S_est(3.5) = ")
+        assert failure.endswith(" is not below the threshold 11.113077; move the lower bracket down")
+        assert float(failure.split()[2]) >= 11.113077
+
     def test_unconverged_exits_3(self, tmp_path, capsys):
         # at a = 1 the constant wins every solve and is critical at once;
         # at a = 8 a nonconstant field wins below the threshold, and two
@@ -668,6 +700,28 @@ class TestNehariCheckCommand:
         assert rec["I"] == pytest.approx(big_I(triple), rel=1e-15)
         assert rec["lb"] == pytest.approx(lower_bound(triple), rel=1e-15)
         assert rec["t"] == pytest.approx(project_t(triple), rel=1e-15)
+
+    def test_violated_bound_exits_3_naming_the_row(self, tmp_path, capsys, monkeypatch):
+        # valid triples cannot violate the bounds, so one lower bound is
+        # raised past its level
+        from neumannlab.nehari import big_I
+
+        real = cli.lower_bound
+        monkeypatch.setattr(
+            cli, "lower_bound", lambda t: 2.0 * big_I(t) if t.a_bar == 2.0 else real(t)
+        )
+        triples = tmp_path / "t.csv"
+        triples.write_text(TRIPLES)
+        out = tmp_path / "run"
+        code = cli.run("nehari-check", overrides={"triples": str(triples)}, output_dir=str(out))
+        assert code == 3
+        assert "1 of 2 triples violate the bounds" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["manifest.json", "nehari_records.jsonl"]
+        records = [json.loads(line) for line in (out / "nehari_records.jsonl").read_text().splitlines()]
+        assert [(r["row"], r["violations"]) for r in records] == [(0, []), (1, ["below lower bound"])]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"] == "1 of 2 triples violate the bounds"
+        assert manifest["summary"] == {"rows": 2, "violations": 1}
 
     def test_header_mismatch(self, tmp_path, capsys):
         triples = tmp_path / "t.csv"

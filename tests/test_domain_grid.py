@@ -189,17 +189,21 @@ class TestAxisFactors:
             np.testing.assert_allclose(off, blocks[0, 1], rtol=1e-13)
 
     @pytest.mark.parametrize(
-        "shape, stretch", [((32, 40), 0.0), ((96, 96), 3.0), ((128, 128), 4.0), ((256, 256), 4.0)]
+        "shape, stretch",
+        [((32, 40), 0.0), ((96, 96), 3.0), ((128, 128), 4.0), ((256, 256), 4.0),
+         ((96, 96), 4.0), ((32, 32), 36.0), ((40, 36), 2.0)],
     )
     def test_energy_operator_is_the_kronecker_form(self, shape, stretch):
-        g = build_grid(5, 1.0, *shape, stretch=stretch)
-        q = energy_operator(g, 1.3).tocsr()
-        want = _kron_energy_operator(g, 1.3)
-        q.sort_indices()
-        want.sort_indices()
-        assert np.array_equal(q.indptr, want.indptr)
-        assert np.array_equal(q.indices, want.indices)
-        assert np.abs(q.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+        # the CSC that splu factors, bit for bit, also where the mass term
+        # is below the stiffness's rounding and at a second dimension
+        for N, a in ((5, 1.3), (5, 1e-11), (7, 1.3)):
+            g = build_grid(N, 1.0, *shape, stretch=stretch)
+            q = energy_operator(g, a)
+            want = _kron_energy_operator(g, a)
+            assert q.format == "csc" and q.has_sorted_indices
+            assert np.array_equal(q.indptr, want.indptr)
+            assert np.array_equal(q.indices, want.indices)
+            assert np.array_equal(q.data, want.data)
 
     def test_near_axis_bands_at_512(self):
         # stretch 4 at 512^2 packs theta so tightly at the axis that
@@ -329,13 +333,15 @@ def _tridiagonal_matrix(band):
 
 
 def _kron_energy_operator(grid, a):
-    """Q as a sum of Kronecker products of the grid's 1-D factors."""
+    """Q as a sum of Kronecker products of the grid's 1-D factors, in
+    sorted CSC with no stored zeros; the mass term is (a M_r) (x) M_theta."""
     (k_r, d_r3, m_r), (k_th, d_th, m_th) = (
         [_tridiagonal_matrix(band) for band in factor] for factor in (grid.radial, grid.angular)
     )
-    q = sparse.kron(k_r, d_th) + sparse.kron(d_r3, k_th) + a * sparse.kron(m_r, m_th)
-    q = q.tocsr()
+    q = sparse.kron(k_r, d_th) + sparse.kron(d_r3, k_th) + sparse.kron(a * m_r, m_th)
+    q = q.tocsc()
     q.eliminate_zeros()
+    q.sort_indices()
     return q
 
 
@@ -658,7 +664,7 @@ class TestEnergyOperator:
 
     @pytest.mark.parametrize("shape, stretch", [((32, 40), 2.0), ((64, 64), 0.0), ((128, 128), 4.0)])
     def test_matches_sparse_oracle(self, shape, stretch):
-        # the nine-band assembly against kron stiffness plus G^T diag(a w) G
+        # the Kronecker assembly against kron stiffness plus G^T diag(a w) G
         g = build_grid(5, 1.0, *shape, stretch=stretch)
         q = energy_operator(g, 1.3).tocsr()
         want = _sparse_energy_operator(g, 1.3)
@@ -671,34 +677,6 @@ class TestEnergyOperator:
     def test_bad_coefficient(self, grid64):
         with pytest.raises(DomainError):
             energy_operator(grid64, 0.0)
-
-    def test_stored_by_ascending_diagonals(self, grid64s):
-        # nine diagonals and no index arrays
-        q = energy_operator(grid64s, 1.3)
-        assert q.format == "dia"
-        assert len(q.offsets) == 9 and np.all(np.diff(q.offsets) > 0)
-        assert q.data.shape == (9, 64 * 64)
-
-    @pytest.mark.parametrize(
-        "N, shape, stretch",
-        [(5, (96, 96), 4.0), (5, (128, 128), 4.0), (5, (256, 256), 4.0), (7, (40, 36), 2.0)],
-    )
-    def test_product_is_the_csr_product_bit_for_bit(self, N, shape, stretch):
-        # the diagonals sum each row in the oracle's column order, so the
-        # product is that of the CSR form, whose pattern the oracle has
-        g = build_grid(N, 1.0, *shape, stretch=stretch)
-        q = energy_operator(g, 1.3)
-        assert q.format == "dia"
-        csr = q.tocsr()
-        want = _sparse_energy_operator(g, 1.3)
-        want.sort_indices()
-        assert csr.has_sorted_indices
-        assert np.array_equal(csr.indptr, want.indptr)
-        assert np.array_equal(csr.indices, want.indices)
-        rng = np.random.default_rng(N + shape[0])
-        for _ in range(3):
-            x = rng.standard_normal(q.shape[0])
-            assert (q @ x).tobytes() == (csr @ x).tobytes()
 
 
 class TestSpikeCost:

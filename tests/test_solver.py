@@ -245,6 +245,73 @@ class TestDescentBlowup:
         assert calls == []
 
 
+class TestLineSearchRetry:
+    """A search that fails while the L-BFGS history holds pairs clears the
+    history and searches again along z = Q^{-1} g; a second failure stops
+    the start with ``line_search``."""
+
+    @staticmethod
+    def reverse_once_history_holds_pairs(monkeypatch, on_reverse=lambda: None):
+        # the real direction, made an ascent one at the first iteration
+        # whose history is not empty; logs each call's history and a copy
+        # of the pairs it held then
+        calls = []
+        real = solver._lbfgs_direction
+
+        def direction(garr, zarr, history):
+            calls.append((history, list(history)))
+            d = real(garr, zarr, history)
+            if history and not any(pairs for _, pairs in calls[:-1]):
+                on_reverse()
+                return -d
+            return d
+
+        monkeypatch.setattr(solver, "_lbfgs_direction", direction)
+        return calls
+
+    def test_retry_along_z_is_accepted(self, grid48, monkeypatch):
+        p = make_params(5, 1.0, 2.0)
+        start = interpolate_instanton(grid48, InstantonParams(0.3))
+        calls = self.reverse_once_history_holds_pairs(monkeypatch)
+        out = _descend(start, p, quick_config(max_iters=5), _energy_solver(grid48, p.a))
+        # every iteration asked for one direction and made its step: the
+        # ascent's search failed, and the retry along z was accepted
+        assert (out.stop_reason, out.iterations) == ("max_iters", 5)
+        assert len(calls) == 5
+        k = next(i for i, (_, pairs) in enumerate(calls) if pairs)
+        # the pairs the ascent saw were cleared, and the descent went on
+        # to collect new ones
+        reversed_pairs, later = calls[k][1], calls[k + 1][1]
+        assert not any(old is new for old in reversed_pairs for new in later)
+        assert calls[-1][1]
+        assert out.level < out.start_level
+
+    def test_failed_retry_stops_the_start(self, grid48, monkeypatch):
+        # from the ascent on no trial meets the Armijo rule, along z either
+        p = make_params(5, 1.0, 2.0)
+        start = interpolate_instanton(grid48, InstantonParams(0.3))
+        trials = []
+        real_gradient = solver.gradient_I
+        monkeypatch.setattr(
+            solver, "gradient_I", lambda field, params: trials.append(field) or real_gradient(field, params)
+        )
+        switch = []
+
+        def refuse_every_trial():
+            switch.append(len(trials))
+            monkeypatch.setattr(solver, "SUFFICIENT_DECREASE", math.inf)
+
+        calls = self.reverse_once_history_holds_pairs(monkeypatch, refuse_every_trial)
+        out = _descend(start, p, quick_config(max_iters=5), _energy_solver(grid48, p.a))
+        assert (out.stop_reason, out.iterations) == ("line_search", 1)
+        assert [len(pairs) for _, pairs in calls] == [0, 1]
+        assert len(calls[-1][0]) == 0  # the history, cleared for the retry
+        # the ascent has no descending trial, so the trials after it are the
+        # retry's along z, and none was accepted
+        assert len(trials) > switch[0]
+        assert out.level < out.start_level
+
+
 class TestLBFGSDirection:
     def test_matches_dense_bfgs(self):
         # the one-solve two-loop recursion against the dense inverse-Hessian
