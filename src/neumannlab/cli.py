@@ -6,7 +6,7 @@ Its handler computes and stages its outputs in ``ctx["outputs"]``;
 ``run()`` alone writes them, then exactly one ``manifest.json`` that
 lists them, and creates the output directory only then.  The manifest
 echoes the fully resolved config, the constant pack for the run's
-dimension, the package version, the seed, and wall timings; JSON
+dimension, the package version and wall timings; JSON
 outputs name the manifest, CSV bodies stay plain so that re-runs are
 byte-identical.  The outputs are the solver's records, field for field:
 ``alpha0.json`` is ``Alpha0Result``, ``result.json`` is ``SolveResult``,
@@ -224,7 +224,7 @@ def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
 
 
 def _solver_pieces(cfg: dict):
-    params = make_params(cfg["N"], cfg["a"], cfg.get("alpha", 0.0), cfg["R"])
+    params = make_params(cfg["N"], cfg["a"], cfg.get("alpha", 0.0))
     grid = build_grid(cfg["N"], cfg["R"], cfg["n_r"], cfg["n_theta"], cfg["stretch"])
     solve_config = SolveConfig(**{f.name: cfg[f.name] for f in _SOLVER_SETTINGS})
     return params, grid, solve_config
@@ -541,18 +541,14 @@ def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         failure = f"{type(exc).__name__}: {exc}"
     if output_dir is not None and cfg is not None:
         outputs = _write_outputs(output_dir, ctx["outputs"])
-        config_echo = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())
-        }
+        # strict JSON sorts the keys and writes a tuple as an array
         manifest = {
             "subcommand": subcommand,
             "version": __version__,
-            "config": config_echo,
+            "config": cfg,
             "constants": snapshot(cfg["N"], mean_curvature=1.0 / cfg["R"])
             if "N" in cfg
             else None,
-            "seed": cfg.get("seed"),
-            "threads": cfg.get("threads"),
             "outputs": outputs,
             "summary": ctx["summary"],
             "failure": failure,

@@ -54,20 +54,17 @@ class Exponents:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Coefficients (a, alpha) on the ball of the given radius."""
+    """Coefficients (a, alpha); the radius is the grid's."""
 
     exponents: Exponents
     a: float
     alpha: float
-    radius: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.a < math.inf:
             raise DomainError(f"finite a > 0 required, got {self.a}")
         if not 0 <= self.alpha < math.inf:
             raise DomainError(f"finite alpha >= 0 required, got {self.alpha}")
-        if not 0 < self.radius < math.inf:
-            raise DomainError(f"finite radius > 0 required, got {self.radius}")
 
     @property
     def N(self) -> int:
@@ -75,7 +72,10 @@ class ProblemParams:
 
 
 def make_params(N: int, a: float, alpha: float, radius: float = 1.0) -> ProblemParams:
-    return ProblemParams(Exponents(N), a, alpha, radius)
+    """``radius`` is checked, not stored: every R the solver uses is its grid's."""
+    if not 0 < radius < math.inf:
+        raise DomainError(f"finite radius > 0 required, got {radius}")
+    return ProblemParams(Exponents(N), a, alpha)
 
 
 def sphere_area(N: int) -> float:
@@ -85,7 +85,7 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / gamma_fn(N / 2.0)
 
 
-def ball_volume(N: int, radius: float = 1.0) -> float:
+def ball_volume(N: int, radius: float) -> float:
     if not radius > 0:
         raise DomainError(f"radius > 0 required, got {radius}")
     return sphere_area(N) * radius**N / N
@@ -206,7 +206,7 @@ def I_alpha_of_one(params: ProblemParams, volume: float) -> float:
     return volume ** (2.0 / N) / tt ** (2.0 / N) * bracket ** (2.0 / N)
 
 
-def snapshot(N: int, mean_curvature: float = 1.0) -> dict:
+def snapshot(N: int, mean_curvature: float) -> dict:
     """Constant pack reported by the CLI and embedded in run manifests."""
     Exponents(N)  # range check on N, before the Gamma factors overflow
     c1, c2 = cbar_coefficients(N, mean_curvature)

@@ -164,12 +164,6 @@ class AxiGrid:
         dth = self.R * (self.theta[1] - self.theta[0])
         return 2.0 * float(min(dr, dth))
 
-    def gradient_energy(self, values: np.ndarray) -> float:
-        """The quadratic form |grad u|_2^2 over the edge dual cells."""
-        dr = values[1:, :] - values[:-1, :]
-        dt = values[:, 1:] - values[:, :-1]
-        return float(np.sum(self.r_edge_coeff * dr * dr) + np.sum(self.theta_edge_coeff * dt * dt))
-
     def power_masses(self, values: np.ndarray):
         """(int u^2, int |u|^q, int |u|^2*) with u the bilinear interpolant,
         q = 2(N-1)/(N-2) and 2* = 2N/(N-2), by per-cell Gauss points
@@ -185,7 +179,7 @@ class AxiGrid:
         Gauss-point planes: the corner stack, spent once u_g is formed,
         holds s and then the adjoint; u_g's own plane becomes
         w u_g^2 s^k and then the derivative's weights; the third keeps
-        w u_g.
+        w u_g.  The pullback drops those two once the adjoint is formed.
 
         Nodal lumping would overestimate these for peaked fields (the
         powers are convex), which lets under-resolved bumps undervalue
@@ -228,6 +222,7 @@ class AxiGrid:
             wus *= wu
             # the adjoint: the transposed block into the spent s plane
             np.matmul(_GAUSS_BLOCK.T, wus.reshape(4, -1), out=corners)
+            del wus, wu  # spent: only s's plane is left to scatter
             deriv = np.zeros_like(values)
             for c, h in zip(_CORNERS, s):
                 deriv[c] += h
@@ -237,7 +232,7 @@ class AxiGrid:
 
 
 @np.errstate(all="ignore")  # a radius or stretch that breaks the grid is rejected below
-def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -> AxiGrid:
+def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float) -> AxiGrid:
     """Tensor grid whose node masses sum to the exact ball volume.
 
     ``stretch`` > 0 clusters r-nodes toward the boundary r = R and
@@ -252,8 +247,8 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
         raise ConfigurationError(f"integer N >= 5 required, got {N!r}")
     if not R > 0:
         raise ConfigurationError(f"R > 0 required, got {R}")
-    if n_r < 32 or n_theta < 32:
-        raise ConfigurationError(f"n_r and n_theta must be >= 32, got {n_r}, {n_theta}")
+    if not all(isinstance(n, (int, np.integer)) and n >= 32 for n in (n_r, n_theta)):
+        raise ConfigurationError(f"integer n_r and n_theta >= 32 required, got {n_r!r}, {n_theta!r}")
     if stretch < 0:
         raise ConfigurationError(f"stretch >= 0 required, got {stretch}")
 
@@ -306,8 +301,8 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float = 0.0) -
     return AxiGrid(
         N=int(N),
         R=float(R),
-        n_r=n_r,
-        n_theta=n_theta,
+        n_r=int(n_r),
+        n_theta=int(n_theta),
         stretch=float(stretch),
         r=r,
         theta=theta,
@@ -352,6 +347,12 @@ class NormReport:
     trace_mass: float
 
 
+def _edge_energy(coeff: np.ndarray, diff: np.ndarray) -> float:
+    """sum coeff diff^2 as coeff * diff * diff, in one temporary beside the held planes."""
+    prod = coeff * diff
+    return float(np.multiply(prod, diff, out=prod).sum())
+
+
 def norm_gradients(field: Field, params: ProblemParams):
     """Quadrature norms entering I_alpha, as ``(report, pullback)`` from
     one kernel pass.
@@ -372,16 +373,19 @@ def norm_gradients(field: Field, params: ProblemParams):
         raise DomainError(f"grid dimension {g.N} != params dimension {params.N}")
     if not np.any(u != 0.0):
         raise DegenerateInputError("zero field has no norms")
-    grad2 = g.gradient_energy(u)
     (mass2, trace, critical), mass_pullback = g.power_masses(u)
+    # one difference per edge for grad2 and the stencil; the pass holds neither
+    dr = u[1:, :] - u[:-1, :]
+    dt = u[:, 1:] - u[:, :-1]
+    grad2 = _edge_energy(g.r_edge_coeff, dr) + _edge_energy(g.theta_edge_coeff, dt)
     triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, params.N)
     report = NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
 
     def pullback(c_a, c_b, c_c):
         deriv = mass_pullback(params.a * c_a, params.alpha * c_b, c_c)
         # the stiffness stencil of grad2, scaled by c_a
-        fr = 2.0 * c_a * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
-        ft = 2.0 * c_a * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
+        fr = 2.0 * c_a * g.r_edge_coeff * dr
+        ft = 2.0 * c_a * g.theta_edge_coeff * dt
         deriv[1:, :] += fr
         deriv[:-1, :] -= fr
         deriv[:, 1:] += ft

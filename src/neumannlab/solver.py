@@ -717,8 +717,8 @@ def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid) -> Swee
         raise DomainError("alpha list must be nonempty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise DomainError("alpha list must be strictly ascending")
-    if any(a < 0 for a in alphas):
-        raise DomainError("alpha values must be nonnegative")
+    if not all(0 <= a < math.inf for a in alphas):
+        raise DomainError(f"alpha values must be finite and nonnegative, got {alphas}")
 
     results = []
     # a fine bubble restarts every warm solve, so the sweep can leave the
@@ -763,8 +763,8 @@ def estimate_alpha0(base_params, config: SolveConfig, grid: AxiGrid, bracket) ->
     solve records, ``below`` and ``above``; a midpoint starts from below's.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 <= lo < hi:
-        raise DomainError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+    if not 0 <= lo < hi < math.inf:
+        raise DomainError(f"need 0 <= lo < hi, both finite, got ({lo}, {hi})")
     threshold = (1.0 - config.tau) * sobolev_S(grid.N) / 2.0 ** (2.0 / grid.N)
 
     evals = []

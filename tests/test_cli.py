@@ -310,6 +310,18 @@ class TestConfigRejection:
             err = capsys.readouterr().err
             assert f"invalid value for {key}" in err and "not a finite number" in err
 
+    def test_empty_list_rejected(self, tmp_path, capsys):
+        # from the flag and from a replayed manifest's empty array
+        replay = write_cfg(
+            tmp_path / "manifest.json", '{"config": {"n_r": 32, "n_theta": 32, "alpha_list": []}}'
+        )
+        out = tmp_path / "run"
+        for argv in (["--n-r", "32", "--n-theta", "32", "--alpha-list", ""], ["--config", replay]):
+            assert cli.main(["sweep", *argv, "--out", str(out)]) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert "invalid value for alpha_list" in err and "(empty list)" in err
+
     @pytest.mark.parametrize("key, number", [("n_r", "32.7"), ("max_iters", "true"), ("seed", "2.9")])
     def test_nonint_value_rejected(self, key, number, tmp_path, capsys):
         # a replayed manifest's JSON float or bool is refused, not truncated
@@ -493,7 +505,8 @@ class TestMinimizeCommand:
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
         cli.run("minimize", config_path=cfg, output_dir=str(out), seed=17)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 17
+        assert manifest["config"]["seed"] == 17
+        assert "seed" not in manifest and "threads" not in manifest
 
     def test_seed_override_replays(self, tmp_path, capsys):
         # the fifth start is the seeded random one, so start_values see the seed
@@ -510,6 +523,24 @@ class TestMinimizeCommand:
         replay = json.loads((out2 / "result.json").read_text())
         assert len(first["start_values"]) == 5
         assert replay["start_values"] == first["start_values"]
+
+    def test_manifest_with_top_level_seed_replays(self, tmp_path, capsys):
+        # older manifests also echoed seed and threads at the top level; a
+        # replay reads only the config block, so they give the same bytes
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            SMALL_SOLVER.replace("n_starts = 2", "n_starts = 5") + "alpha = 0.0\n",
+        )
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert cli.run("minimize", config_path=cfg, output_dir=str(out1), seed=7) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        older = dict(manifest, seed=manifest["config"]["seed"], threads=manifest["config"]["threads"])
+        replay = write_cfg(tmp_path / "older.json", json.dumps(older))
+        assert cli.run("minimize", config_path=replay, output_dir=str(out2)) == 0
+        for name in ("result.json", "field_final.csv", "field_final.json"):
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes()
+        again = json.loads((out2 / "manifest.json").read_text())
+        assert again["config"] == manifest["config"] and "seed" not in again
 
     def test_skipped_fit_writes_strict_json(self, tmp_path, capsys):
         # at alpha = 0 the constant wins, its maximum is interior and the
@@ -723,6 +754,25 @@ class TestNehariCheckCommand:
         assert manifest["failure"] == "1 of 2 triples violate the bounds"
         assert manifest["summary"] == {"rows": 2, "violations": 1}
 
+    def test_level_above_upper_bound_exits_3(self, tmp_path, capsys, monkeypatch):
+        # as above, with one upper bound lowered past its level
+        from neumannlab.nehari import big_I
+
+        real = cli.upper_bound
+        monkeypatch.setattr(
+            cli, "upper_bound", lambda t: 0.5 * big_I(t) if t.a_bar == 2.0 else real(t)
+        )
+        triples = tmp_path / "t.csv"
+        triples.write_text(TRIPLES)
+        out = tmp_path / "run"
+        code = cli.run("nehari-check", overrides={"triples": str(triples)}, output_dir=str(out))
+        assert code == 3
+        assert "1 of 2 triples violate the bounds" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["manifest.json", "nehari_records.jsonl"]
+        records = [json.loads(line) for line in (out / "nehari_records.jsonl").read_text().splitlines()]
+        assert [(r["row"], r["violations"]) for r in records] == [(0, []), (1, ["above upper bound"])]
+        assert json.loads((out / "manifest.json").read_text())["summary"] == {"rows": 2, "violations": 1}
+
     def test_header_mismatch(self, tmp_path, capsys):
         triples = tmp_path / "t.csv"
         triples.write_text("x,y,z\n1,2,3\n")
@@ -829,7 +879,8 @@ class TestThreads:
         assert cli.run("minimize", config_path=str(out1 / "manifest.json"), output_dir=str(out2)) == 0
         for out in (out1, out2):
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["threads"] == manifest["config"]["threads"] == 2
+            assert manifest["config"]["threads"] == 2
+            assert "threads" not in manifest
 
     def test_threaded_result_matches_serial(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 1.0\n")
@@ -935,4 +986,4 @@ class TestArgumentParser:
         cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + "alpha = 0.0\n")
         out = tmp_path / "run"
         cli.main(["minimize", "--config", cfg, "--out", str(out), "--seed", "23"])
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 23
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 23

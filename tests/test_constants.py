@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -142,8 +143,10 @@ def test_params_validation():
         C.make_params(5, 1.0, -0.5)
     with pytest.raises(DomainError):
         C.make_params(5, 1.0, 0.0, radius=0.0)
+    # the radius is checked, not stored: every R the solver uses is its grid's
     p = C.make_params(5, 1.0, 0.25, radius=2.0)
-    assert p.radius == 2.0
+    assert [f.name for f in dataclasses.fields(p)] == ["exponents", "a", "alpha"]
+    assert (p.N, p.a, p.alpha) == (5, 1.0, 0.25)
 
 
 @pytest.mark.parametrize("key", ["a", "alpha", "radius"])

@@ -47,7 +47,7 @@ from neumannlab.instanton import u_value
 
 @pytest.fixture(scope="module")
 def grid64():
-    return build_grid(5, 1.0, 64, 64)
+    return build_grid(5, 1.0, 64, 64, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,8 @@ class TestBuildGrid:
         assert abs(grid64.volume - vol) <= 1e-12 * vol
 
     def test_volume_radius_scaling(self):
-        v1 = build_grid(5, 1.0, 32, 32).volume
-        v2 = build_grid(5, 2.0, 32, 32).volume
+        v1 = build_grid(5, 1.0, 32, 32, 0.0).volume
+        v2 = build_grid(5, 2.0, 32, 32, 0.0).volume
         assert v2 == pytest.approx(2.0**5 * v1, rel=1e-12)
 
     def test_volume_exact_other_dims(self):
@@ -89,7 +89,7 @@ class TestBuildGrid:
     def test_r_squared_subcell_rule(self):
         # the interpolant rule is sharper: r is linear on cells, so only
         # the in-cell weight split contributes error
-        g = build_grid(5, 1.0, 256, 256)
+        g = build_grid(5, 1.0, 256, 256, 0.0)
         exact = ball_volume(5, 1.0) * 5.0 / 7.0  # int r^2 = vol * N/(N+2)
         approx = g.power_masses(np.broadcast_to(g.r[:, None], g.mass.shape))[0][0]
         assert abs(approx - exact) / exact < 1e-8
@@ -108,15 +108,15 @@ class TestBuildGrid:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            build_grid(4, 1.0, 64, 64)
+            build_grid(4, 1.0, 64, 64, 0.0)
         with pytest.raises(ConfigurationError):
-            build_grid(5.0, 1.0, 64, 64)
+            build_grid(5.0, 1.0, 64, 64, 0.0)
         with pytest.raises(ConfigurationError):
-            build_grid(5, -1.0, 64, 64)
+            build_grid(5, -1.0, 64, 64, 0.0)
         with pytest.raises(ConfigurationError):
-            build_grid(5, 1.0, 31, 64)
+            build_grid(5, 1.0, 31, 64, 0.0)
         with pytest.raises(ConfigurationError):
-            build_grid(5, 1.0, 64, 16)
+            build_grid(5, 1.0, 64, 16, 0.0)
         with pytest.raises(ConfigurationError):
             build_grid(5, 1.0, 64, 64, stretch=-0.5)
 
@@ -128,6 +128,18 @@ class TestBuildGrid:
         for stretch in (37.5, 50.0, 1000.0):
             with pytest.raises(ConfigurationError, match=f"stretch {stretch}.*32 x 32"):
                 build_grid(5, 1.0, 32, 32, stretch=stretch)
+
+    @pytest.mark.parametrize("n_r, n_theta", [(64.0, 64), (64, 64.0), ("64", 64)])
+    def test_non_integer_node_counts_rejected(self, n_r, n_theta):
+        named = re.escape(f"n_r and n_theta >= 32 required, got {n_r!r}, {n_theta!r}")
+        with pytest.raises(ConfigurationError, match=named):
+            build_grid(5, 1.0, n_r, n_theta, 0.0)
+
+    def test_numpy_integer_node_counts_accepted(self):
+        g = build_grid(5, 1.0, np.int64(40), np.int32(36), 0.0)
+        assert (g.n_r, g.n_theta) == (40, 36)
+        assert type(g.n_r) is int and type(g.n_theta) is int
+        assert g.mass.shape == (40, 36)
 
     @pytest.mark.parametrize("R", [1e-70, 1e40])
     def test_radius_that_breaks_the_grid_named(self, R):
@@ -388,7 +400,9 @@ def _callback_pass(field, params, coefficients):
     maps the pass's triple to (c_a, c_b, c_c), and the pass returns its
     report with the derivative c_a a_bar' + c_b b' + c_c c'."""
     g, u = field.grid, field.values
-    grad2 = g.gradient_energy(u)
+    dr = u[1:, :] - u[:-1, :]
+    dt = u[:, 1:] - u[:, :-1]
+    grad2 = float(np.sum(g.r_edge_coeff * dr * dr) + np.sum(g.theta_edge_coeff * dt * dt))
     rep = c_a = None
 
     def mass_weights(masses):
@@ -615,7 +629,7 @@ class TestNorms:
         p = make_params(5, 1.0, 1.0)
 
         def level(n):
-            g = build_grid(5, 1.0, n, n)
+            g = build_grid(5, 1.0, n, n, 0.0)
             vals = np.cos(g.r[:, None]) * (1.5 + np.cos(g.theta[None, :]))
             rep = norms(Field(g, vals), p)
             return np.array([rep.grad2, rep.mass2, rep.trace_mass, rep.triple.c])
@@ -725,14 +739,14 @@ class TestSpikeCost:
 
 class TestInterpolateInstanton:
     def test_peak_value(self):
-        g = build_grid(5, 1.0, 128, 128)
+        g = build_grid(5, 1.0, 128, 128, 0.0)
         inst = InstantonParams(eps=0.1)
         f = interpolate_instanton(g, inst)
         # north-pole boundary node is (r=R, theta=0)
         assert f.values[-1, 0] == pytest.approx(0.1 ** (-1.5), rel=1e-12)
 
     def test_center_value_law_of_cosines(self):
-        g = build_grid(5, 1.0, 128, 128)
+        g = build_grid(5, 1.0, 128, 128, 0.0)
         inst = InstantonParams(eps=0.1)
         f = interpolate_instanton(g, inst)
         want = 0.1 ** (-1.5) * u_value(1.0 / 0.1, 5)
@@ -741,14 +755,14 @@ class TestInterpolateInstanton:
         assert np.ptp(f.values[0, :]) < 1e-12 * abs(want)
 
     def test_south_pole_distance(self):
-        g = build_grid(5, 1.0, 128, 128)
+        g = build_grid(5, 1.0, 128, 128, 0.0)
         inst = InstantonParams(eps=0.2)
         f = interpolate_instanton(g, inst)
         want = 0.2 ** (-1.5) * u_value(2.0 / 0.2, 5)  # distance 2R across the ball
         assert f.values[-1, -1] == pytest.approx(want, rel=1e-10)
 
     def test_amplitude_scaling(self):
-        g = build_grid(5, 1.0, 64, 64)
+        g = build_grid(5, 1.0, 64, 64, 0.0)
         a1 = interpolate_instanton(g, InstantonParams(eps=0.3)).values
         a3 = interpolate_instanton(g, InstantonParams(eps=0.3, amplitude=3.0)).values
         assert np.allclose(a3, 3.0 * a1, rtol=1e-13)
@@ -773,7 +787,7 @@ class TestInterpolateInstanton:
         assert np.all(nodal[0] == 1.0)
 
     def test_unresolvable_eps(self):
-        g = build_grid(5, 1.0, 64, 64)
+        g = build_grid(5, 1.0, 64, 64, 0.0)
         floor = g.min_bubble_eps
         with pytest.raises(ResolutionError, match=re.escape(f"needs eps >= {floor:g}")):
             interpolate_instanton(g, InstantonParams(eps=floor / 4.0))
@@ -795,7 +809,7 @@ class TestSnapshots:
         assert np.array_equal(back.values, f.values)  # %.17g reproduces doubles
 
     def test_header_contents(self, tmp_path):
-        g = build_grid(6, 2.0, 32, 32)
+        g = build_grid(6, 2.0, 32, 32, 0.0)
         f = Field.constant(g, 1.0)
         save_field_snapshot(f, tmp_path / "f.csv", tmp_path / "f.json")
         header = json.loads((tmp_path / "f.json").read_text())
@@ -835,7 +849,7 @@ class TestSnapshots:
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_truncated_csv_rejected(self, tmp_path):
-        g = build_grid(5, 1.0, 32, 32)
+        g = build_grid(5, 1.0, 32, 32, 0.0)
         save_field_snapshot(Field.constant(g, 1.0), tmp_path / "f.csv", tmp_path / "f.json")
         lines = (tmp_path / "f.csv").read_text().splitlines()
         (tmp_path / "f.csv").write_text("\n".join(lines[:-5]) + "\n")

@@ -211,6 +211,21 @@ class TestDescentBlowup:
         with pytest.raises(NumericalFailure, match="direction"):
             _descend(start, p, quick_config(), lambda arr: np.full_like(arr, np.inf))
 
+    def test_nonfinite_lbfgs_direction(self, grid48, monkeypatch):
+        # Q^{-1} g is finite, but the two-loop recursion's product is not
+        p = make_params(5, 1.0, 2.0)
+        start = interpolate_instanton(grid48, InstantonParams(0.3))
+        calls = []
+
+        def direction(garr, zarr, history):
+            calls.append(zarr)
+            return np.full_like(zarr, np.inf)
+
+        monkeypatch.setattr(solver, "_lbfgs_direction", direction)
+        with pytest.raises(NumericalFailure, match="descent direction is not finite at iteration 1"):
+            _descend(start, p, quick_config(), _energy_solver(grid48, p.a))
+        assert len(calls) == 1 and np.all(np.isfinite(calls[0]))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("scale", [1e300, 1e150, 1e60], ids=["1e300", "1e150", "1e60"])
     def test_overflowing_trial(self, grid48, scale):
@@ -670,6 +685,31 @@ class TestSweep:
         assert not hasattr(sw, "alphas") and not hasattr(sw, "levels")
 
 
+class TestNonfiniteAlphas:
+    def test_rejected_before_any_solve(self, grid48, monkeypatch):
+        # NaN fails no ordering test, and inf passes lo < hi: each is
+        # refused before a Q^{-1} solver is made or a start descends
+        counts = {"solvers": 0, "solves": 0}
+        real_solver, real_solves = solver._energy_solver, solver._minimize_over_starts
+
+        def energy_solver(*args):
+            counts["solvers"] += 1
+            return real_solver(*args)
+
+        def solves(*args):
+            counts["solves"] += 1
+            return real_solves(*args)
+
+        monkeypatch.setattr(solver, "_energy_solver", energy_solver)
+        monkeypatch.setattr(solver, "_minimize_over_starts", solves)
+        base, cfg = make_params(5, 1.0, 0.0), quick_config(n_starts=1, max_iters=5)
+        with pytest.raises(DomainError, match="finite"):
+            sweep_alpha(base, [0.5, math.nan], cfg, grid48)
+        with pytest.raises(DomainError, match="finite"):
+            estimate_alpha0(base, cfg, grid48, (2.0, math.inf))
+        assert counts == {"solvers": 0, "solves": 0}
+
+
 class TestContinuation:
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1019,7 +1059,7 @@ class TestFitInstanton:
         assert fit.fit is not None
         assert fit.fit.amplitude == pytest.approx(1.0, abs=1e-3)
         assert fit.fit.eps == pytest.approx(0.05, abs=1e-3)
-        assert fit.w_norm <= 1e-6 * np.sqrt(g.gradient_energy(f.values))
+        assert fit.w_norm <= 1e-6 * np.sqrt(norms(f, make_params(5, 1.0, 0.0)).grad2)
 
     def test_noisy_fit(self):
         g = build_grid(5, 1.0, 128, 128, stretch=3.0)
@@ -1058,7 +1098,7 @@ class TestFitInstanton:
         assert fit.fit is not None
         # at an exact fit both distances are round-off, which the floor,
         # 1e-12 of the field's own seminorm, absorbs
-        floor = 1e-12 * np.sqrt(field.grid.gradient_energy(field.values))
+        floor = 1e-12 * np.sqrt(norms(field, make_params(field.grid.N, 1.0, 0.0)).grad2)
         assert fit.w_norm <= max(w_norm, floor) * (1.0 + 1e-10)
         assert fit.fit.eps == pytest.approx(eps, rel=1e-6)
         assert fit.fit.amplitude == pytest.approx(C, rel=1e-6)
