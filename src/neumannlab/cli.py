@@ -54,6 +54,7 @@ import dataclasses
 import io
 import json
 import math
+import shutil
 import sys
 import time
 import traceback
@@ -277,14 +278,24 @@ def _write_outputs(out_dir: str, outputs: dict) -> list:
     """Create ``out_dir`` and write each staged output by its kind: a
     ``Field`` as its ``<name>.csv``/``<name>.json`` snapshot pair, a
     ``.csv`` as its dict rows, a ``.jsonl`` as strict JSON lines, one per
-    record, and any other name as one JSON document.  Returns the written
-    file names in order."""
+    record, and any other name as one JSON document.  A ``Field`` on the
+    grid of one already written, with the same bits, copies that pair:
+    a sweep's constant branch is one pinned field at every alpha.  Bits,
+    not values, since ``%.17g`` prints -0.0 and 0.0 apart.  Returns the
+    written file names in order."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    written, formatted = [], []
     for name, content in outputs.items():
         path = os.path.join(out_dir, name)
         if isinstance(content, Field):
-            save_field_snapshot(content, path + ".csv", path + ".json")
+            grid, bits = content.grid, content.values.view(np.uint64)
+            twin = next((p for g, b, p in formatted if g is grid and np.array_equal(b, bits)), None)
+            if twin is None:
+                save_field_snapshot(content, path + ".csv", path + ".json")
+                formatted.append((grid, bits, path))
+            else:
+                for ext in (".csv", ".json"):
+                    shutil.copyfile(twin + ext, path + ext)
             written += [name + ".csv", name + ".json"]
             continue
         if name.endswith(".csv"):

@@ -130,9 +130,10 @@ def _axis_factors(edge, cells, weights):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiGrid:
-    """Immutable (r, theta) tensor grid with exact cell masses."""
+    """Immutable (r, theta) tensor grid with exact cell masses.  Grids
+    compare and hash by identity, as their arrays would not."""
 
     N: int
     R: float
@@ -315,9 +316,10 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float) -> AxiG
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class Field:
-    """Axisymmetric scalar field: one value per (r, theta) node."""
+    """Axisymmetric scalar field: one value per (r, theta) node.  Fields
+    compare and hash by identity, as their arrays would not."""
 
     grid: AxiGrid
     values: np.ndarray

@@ -54,7 +54,10 @@ exact enough, the certificate fails and the run solves with a sparse LU
 of Q instead.
 
 A run is one continuation: one such solver and one worker pool serve
-all its solves at fixed alpha.  A solve reports its winning descent's level
+all its solves at fixed alpha.  A cold solve descends from the constant,
+bubbles and seeded random fields; a warm one from the warm start, the
+constant unless the warm start is itself constant, and the run's
+restarts.  A solve reports its winning descent's level
 and stop reason, and reads its Euler-Lagrange residual from that descent's
 final dual norm; arithmetic overflow in a descent is a NumericalFailure.
 A run on one worker opens no pool: its descents run in the calling thread,
@@ -682,7 +685,9 @@ def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
     is the calling thread itself, which descends from the starts in turn
     and opens no pool, so the run holds no second thread's allocator
     arena and BLAS buffer.  A cold solve starts from default_starts, a
-    warm one from [warm, constant, *restarts]."""
+    warm one from [warm, constant, *restarts], or from [warm, *restarts]
+    when the warm start is itself constant: the constant start would be
+    its own ray, and the warm start, listed first, wins that tie."""
     solve_q = _energy_solver(grid, base_params.a)
     constant = Field.constant(grid, 1.0)
     if config.threads == 1:
@@ -695,6 +700,8 @@ def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
             params = replace(base_params, alpha=alpha)
             if warm is None:
                 starts = default_starts(config, grid)
+            elif np.ptp(warm.values) == 0.0:
+                starts = [warm, *restarts]
             else:
                 starts = [warm, constant, *restarts]
             return _minimize_over_starts(params, config, starts, pool, solve_q)

@@ -16,7 +16,7 @@ import numpy as np
 
 from neumannlab import cli, solver
 from neumannlab.constants import snapshot
-from neumannlab.domain_grid import load_field_snapshot
+from neumannlab.domain_grid import Field, build_grid, load_field_snapshot
 
 
 def reject_constant(name):
@@ -643,6 +643,32 @@ class TestSweepCommand:
         assert (out / "field_000.csv").exists() and (out / "field_000.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "stopped above grad_tol" in manifest["failure"]
+
+
+class TestSnapshotReuse:
+    def test_bitwise_equal_snapshot_is_copied(self, tmp_path, monkeypatch):
+        # a staged field with the bits of one already written copies its
+        # pair; one that differs only by -0.0 prints -0 and is formatted
+        grid = build_grid(5, 1.0, 32, 32, 3.0)
+        values = np.full((32, 32), 0.5)
+        values[0] = 0.0
+        signed = values.copy()
+        signed[0, 3] = -0.0
+        real, formatted = cli.save_field_snapshot, []
+
+        def counted(field, *paths):
+            formatted.append(field)
+            return real(field, *paths)
+
+        monkeypatch.setattr(cli, "save_field_snapshot", counted)
+        staged = {"a": Field(grid, values), "b": Field(grid, values.copy()), "c": Field(grid, signed)}
+        written = cli._write_outputs(str(tmp_path), staged)
+        assert written == ["a.csv", "a.json", "b.csv", "b.json", "c.csv", "c.json"]
+        assert formatted == [staged["a"], staged["c"]]
+        for ext in (".csv", ".json"):
+            assert (tmp_path / ("a" + ext)).read_bytes() == (tmp_path / ("b" + ext)).read_bytes()
+        assert b",-0\r\n" in (tmp_path / "c.csv").read_bytes()
+        assert b",-0\r\n" not in (tmp_path / "a.csv").read_bytes()
 
 
 class TestAlpha0Command:

@@ -275,6 +275,16 @@ class TestField:
         assert f.values.shape == (64, 64)
         assert np.all(f.values == 2.5)
 
+    def test_compare_and_hash_by_identity(self, grid64):
+        # == over the dataclass's arrays raised on the truth value of an
+        # array, and hash(grid) on its unhashable fields
+        twin = build_grid(5, 1.0, 64, 64, 0.0)
+        f, g = Field.constant(grid64, 1.0), Field.constant(grid64, 1.0)
+        assert grid64 == grid64 and grid64 != twin
+        assert f == f and f != g
+        assert f in [g, f] and Field.constant(twin, 1.0) not in [f, g]
+        assert len({grid64, twin, grid64}) == 2 and len({f, g, f}) == 2
+
 
 def _corner_loop(grid, values, qs):
     """Masses and nodal derivatives by an explicit loop over the four

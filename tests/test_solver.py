@@ -755,6 +755,36 @@ class TestContinuation:
         assert threads == [threading.get_ident()] * 4
         assert counts == {"pools": 0, "factorizations": 1}
 
+    def test_constant_warm_start_drops_the_constant_start(self, monkeypatch, grid48):
+        # a constant warm start is the constant start's own ray: the solve
+        # descends from it and the restarts only, and its result has the
+        # bits of the solve with the constant start listed too
+        p, cfg = make_params(5, 1.0, 1.5), quick_config()
+        restarts = (solver._resolvable_bubble(grid48, 0.05),)
+        warm = minimize(make_params(5, 1.0, 1.0), quick_config(n_starts=1), grid48).minimizer
+        assert np.ptp(warm.values) == 0.0
+        bubble = interpolate_instanton(grid48, InstantonParams(0.3))
+        descended, real_descend = [], solver._descend
+
+        def descend(start, *args):
+            descended.append(start)
+            return real_descend(start, *args)
+
+        monkeypatch.setattr(solver, "_descend", descend)
+        with solver._continuation(p, cfg, grid48, restarts) as solve:
+            res = solve(p.alpha, warm)
+            assert len(descended) == 1 + len(restarts) and descended[0] is warm
+            descended.clear()
+            solve(p.alpha, bubble)
+        assert len(descended) == 2 + len(restarts)
+        assert descended[0] is bubble and np.all(descended[1].values == 1.0)
+        forced = _minimize_over_starts(
+            p, cfg, [warm, Field.constant(grid48, 1.0), *restarts], SERIAL, _energy_solver(grid48, p.a)
+        )
+        assert res.S_alpha_est == forced.S_alpha_est
+        assert res.el_residual == forced.el_residual
+        assert np.array_equal(res.minimizer.values.view(np.uint64), forced.minimizer.values.view(np.uint64))
+
     def test_reported_residual_is_independent_residual(self, grid48):
         # read from the winner's final dual norm, the residual agrees with
         # the independent evaluation on the reported minimizer, converged
