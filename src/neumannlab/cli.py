@@ -28,13 +28,12 @@ Exit codes: 0 success, 1 internal error (an exception outside the
 package's own types, once the config has validated: the manifest
 records it as ``failure`` and the traceback goes to stderr), 2
 validation failure (bad flags, malformed or incomplete config, a float
-or bool for an integer key, an R that is not positive, out-of-domain
-inputs, a non-finite triple, an unreadable input file, an output
-directory that cannot be made: nothing is written, not even the output
-directory), 3 accuracy
-or convergence failure.  The solver subcommands write every output and
-the manifest first, then exit 3 when any solve they report stopped
-above ``grad_tol``.
+or bool for an integer key, a replayed null, an R that is not positive,
+out-of-domain inputs, a non-finite triple, an unreadable input file, an
+empty or unmakeable output directory: nothing is written, not even the
+output directory), 3 accuracy or convergence failure.  The solver
+subcommands write every output and the manifest first, then exit 3 when
+any solve they report stopped above ``grad_tol``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import io
 import json
@@ -103,6 +101,13 @@ def _positive_float(value) -> float:
     return x
 
 
+def _text(value) -> str:
+    """A path key's value; a replayed null or number is refused."""
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
+
+
 def _float_list(value) -> tuple:
     """A list key's values, from config text or a replayed JSON array."""
     parts = value.replace(",", " ").split() if isinstance(value, str) else list(value)
@@ -128,7 +133,7 @@ CONFIG_SCHEMA = {
         f.name: ({"int": _int, "float": _finite_float}[f.type], f.default, _SOLVER_COMMANDS)
         for f in _SOLVER_SETTINGS
     },
-    "triples": (str, _REQUIRED, ("nehari-check",)),
+    "triples": (_text, _REQUIRED, ("nehari-check",)),
     "eps_list": (_float_list, DEFAULT_EPS, ("instanton-verify",)),
 }
 
@@ -192,7 +197,9 @@ def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
     Unknown keys (in the file or among the overrides, which includes
     keys the subcommand does not take), missing required keys, and
     unparseable values are all collected and reported together so one
-    pass fixes the whole file.
+    pass fixes the whole file.  A key in the file is parsed whatever its
+    value, so a replayed null is invalid; a None override (argparse's
+    default for every flag) is a key not given.
     """
     allowed = {k: row for k, row in CONFIG_SCHEMA.items() if subcommand in row[2]}
     problems = []
@@ -202,16 +209,15 @@ def resolve_config(subcommand: str, raw: dict, overrides: dict) -> dict:
         problems.append("unknown keys: " + ", ".join(sorted(unknown)))
     merged = {}
     for key, (parse, default, _) in allowed.items():
-        source = None
-        if key in raw:
-            source = raw[key]
-        if key in overrides and overrides[key] is not None:
+        if overrides.get(key) is not None:
             source = overrides[key]
-        if source is None:
-            if default is _REQUIRED:
-                problems.append(f"missing key: {key}")
-            else:
-                merged[key] = default
+        elif key in raw:
+            source = raw[key]
+        elif default is _REQUIRED:
+            problems.append(f"missing key: {key}")
+            continue
+        else:
+            merged[key] = default
             continue
         try:
             merged[key] = parse(source)
@@ -264,7 +270,9 @@ def _write_json(path: str, payload: dict) -> None:
 def _check_output_dir(out_dir: str) -> None:
     """Reject an ``--out`` that cannot become a directory, creating
     nothing: the nearest existing path, itself or an ancestor, must be a
-    writable directory."""
+    writable directory.  An empty path names no directory."""
+    if not out_dir:
+        raise ConfigurationError("output directory is an empty path")
     path = out_dir
     while not os.path.lexists(path):
         path = os.path.dirname(path) or os.curdir
@@ -486,35 +494,11 @@ HANDLERS = {
 SUBCOMMANDS = tuple(HANDLERS)
 
 
-# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_pages() -> None:
-    """Keep the pages of freed arrays in the process.  glibc unmaps a
-    large block when it is freed and trims the heap past a threshold it
-    raises only when such a block is freed, so every kernel pass and
-    Q^{-1} solve would fault its temporaries' pages back in, zero-filled,
-    unless some larger block happened to be freed first.  Fixed
-    thresholds, 32 MiB for a block and 256 MiB for the heap's free top,
-    keep them.  On glibc only, and a value the caller exported wins."""
-    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")):
-        return
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
 def run(subcommand: str, config_path=None, output_dir=None, overrides=None,
         seed=None, threads=None) -> int:
     """Execute one subcommand; returns the process exit code.  ``seed``
     and ``threads``, when given, override those two config keys."""
     t0 = time.perf_counter()
-    _keep_freed_pages()
     ctx = {"outputs": {}, "summary": {}}
     cfg = None
     code = 0

@@ -63,6 +63,17 @@ from .errors import ConfigurationError, DegenerateInputError, DomainError, Resol
 from .instanton import InstantonParams, u_value
 from .nehari import NormTriple
 
+# glibc maps a block above its mmap threshold on its own and trims the
+# heap's free top above its trim threshold, so every kernel pass and
+# Q^{-1} solve would fault its temporaries' pages back in, zero-filled.
+# Freeing a mapped block raises the mmap threshold to that block's size,
+# up to 32 MiB, and the trim threshold to twice that (mallopt(3)), for
+# the whole process.  This block is never touched, so it costs no
+# memory.  An exported MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_,
+# MALLOC_TOP_PAD_ or MALLOC_MMAP_MAX_ freezes the thresholds instead,
+# and another C library just frees the block.
+np.empty((32 << 20) - (8 << 10), dtype=np.uint8)
+
 
 def _stretched_unit_nodes(n: int, strength: float, toward_end: bool) -> np.ndarray:
     """n nodes in [0, 1], geometrically clustered toward 1 (or 0)."""
