@@ -74,6 +74,9 @@ from .nehari import NormTriple
 # and another C library just frees the block.
 np.empty((32 << 20) - (8 << 10), dtype=np.uint8)
 
+# the fewest nodes build_grid accepts on either axis
+MIN_NODES = 32
+
 
 def _stretched_unit_nodes(n: int, strength: float, toward_end: bool) -> np.ndarray:
     """n nodes in [0, 1], geometrically clustered toward 1 (or 0)."""
@@ -259,8 +262,10 @@ def build_grid(N: int, R: float, n_r: int, n_theta: int, stretch: float) -> AxiG
         raise ConfigurationError(f"integer N >= 5 required, got {N!r}")
     if not R > 0:
         raise ConfigurationError(f"R > 0 required, got {R}")
-    if not all(isinstance(n, (int, np.integer)) and n >= 32 for n in (n_r, n_theta)):
-        raise ConfigurationError(f"integer n_r and n_theta >= 32 required, got {n_r!r}, {n_theta!r}")
+    if not all(isinstance(n, (int, np.integer)) and n >= MIN_NODES for n in (n_r, n_theta)):
+        raise ConfigurationError(
+            f"integer n_r and n_theta >= {MIN_NODES} required, got {n_r!r}, {n_theta!r}"
+        )
     if stretch < 0:
         raise ConfigurationError(f"stretch >= 0 required, got {stretch}")
 
@@ -431,6 +436,38 @@ def energy_operator(grid: AxiGrid, a: float) -> sparse.csc_matrix:
     )
     q = sparse.kron(k_r, d_th, format="csc") + sparse.kron(d_r3, k_th, format="csc")
     return q + sparse.kron(a * m_r, m_th, format="csc")
+
+
+def _segments(coarse: np.ndarray, fine: np.ndarray):
+    """Index i and weight w of each fine node in the ascending coarse
+    nodes, which share its ends: the node lies w of the way from coarse
+    node i to node i + 1, 0 <= w <= 1."""
+    i = np.clip(np.searchsorted(coarse, fine, side="right") - 1, 0, len(coarse) - 2)
+    return i, (fine - coarse[i]) / (coarse[i + 1] - coarse[i])
+
+
+def prolongation(coarse: AxiGrid, fine: AxiGrid):
+    """The map of a field on ``coarse`` to its bilinear interpolant at the
+    nodes of ``fine``, a grid of the same ball.
+
+    Both grids span [0, R] x [0, pi], so their end nodes coincide and
+    nothing is extrapolated.  Each axis interpolates as c[i] + w (c[i+1]
+    - c[i]), which keeps a constant exactly constant and a nonnegative
+    field nonnegative; the segments and weights are found once, here.
+    """
+    if (coarse.N, coarse.R) != (fine.N, fine.R):
+        raise DomainError(
+            f"a grid of N {coarse.N}, R {coarse.R} does not prolong to N {fine.N}, R {fine.R}"
+        )
+    (i, w), (j, v) = _segments(coarse.r, fine.r), _segments(coarse.theta, fine.theta)
+    w = w[:, None]
+
+    def prolong(field: Field) -> Field:
+        c = field.values
+        rows = c[i] + w * (c[i + 1] - c[i])
+        return Field(fine, rows[:, j] + v * (rows[:, j + 1] - rows[:, j]))
+
+    return prolong
 
 
 def pole_distance(grid: AxiGrid, r, cos_theta, south: bool = False):

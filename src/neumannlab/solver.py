@@ -57,9 +57,14 @@ A run is one continuation: one such solver and one worker pool serve
 all its solves at fixed alpha.  A cold solve descends from the constant,
 bubbles and seeded random fields; a warm one from the warm start, the
 constant unless the warm start is itself constant, and the run's
-restarts.  A solve reports its winning descent's level
-and stop reason, and reads its Euler-Lagrange residual from that descent's
-final dual norm; arithmetic overflow in a descent is a NumericalFailure.
+restarts.  The sweep's restart, a cold bubble, lives on the quarter grid
+(n // 4 nodes per axis, where both quarters reach build_grid's floor of
+32): it descends there with that grid's own Q^{-1}, and its final field
+is prolonged bilinearly and refined on the run's grid, the nested
+iteration of full multigrid (Brandt 1977).  A solve reports its winning
+descent's level and stop reason, and reads its Euler-Lagrange residual
+from that descent's final dual norm; arithmetic overflow in a descent is
+a NumericalFailure.
 A run on one worker opens no pool: its descents run in the calling thread,
 one after another, and give the same bytes a pool does.  One SolveConfig
 holds all of a run's settings, the worker count included; its fields and
@@ -83,7 +88,18 @@ from scipy.linalg.lapack import dpteqr, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .constants import I_alpha_of_one, curvature_A, sobolev_S
-from .domain_grid import AxiGrid, Field, energy_operator, interpolate_instanton, norm_gradients, norms, pole_distance
+from .domain_grid import (
+    MIN_NODES,
+    AxiGrid,
+    Field,
+    build_grid,
+    energy_operator,
+    interpolate_instanton,
+    norm_gradients,
+    norms,
+    pole_distance,
+    prolongation,
+)
 from .errors import BracketError, ConfigurationError, DomainError, NumericalFailure
 from .instanton import InstantonParams
 from .nehari import NormTriple, big_I, project_t, psi_from_projection
@@ -175,11 +191,13 @@ class SolveResult:
 class StartRecord:
     """What one start's descent did: accepted steps, final level, final
     dual gradient norm, and why it stopped (``converged``, ``max_iters``
-    or ``line_search``)."""
+    or ``line_search``), all on the run's grid; and the accepted steps
+    of its coarse stage, 0 for a start with none."""
     iterations: int
     level: float
     grad_norm: float
     stop_reason: str
+    coarse_iterations: int
 
 
 class Descent(NamedTuple):
@@ -643,12 +661,29 @@ def default_starts(config: SolveConfig, grid: AxiGrid):
     return starts
 
 
-def _minimize_over_starts(params, config: SolveConfig, starts, pool, solve_q):
-    """Descend from every start over ``pool`` and keep the lowest level."""
+def _minimize_over_starts(params, config: SolveConfig, starts, pool, solve_q, coarse=None):
+    """Descend from every start over ``pool`` and keep the lowest level.
+
+    ``solve_q`` is the Q^{-1} of the run's grid.  A start on another grid
+    descends there first, with the Q^{-1} and the prolongation to the
+    run's grid that ``coarse`` maps its grid to; its final field,
+    prolonged, is the start of its descent on the run's grid, which
+    clips it to >= 0 as it clips every start."""
+    stages = coarse or {}
+
+    def descend(start):
+        coarse_iterations = 0
+        if start.grid in stages:
+            solve_c, prolong = stages[start.grid]
+            first = _descend(start, params, config, solve_c)
+            start, coarse_iterations = prolong(first.field), first.iterations
+        return _descend(start, params, config, solve_q), coarse_iterations
+
     try:
-        outcomes = list(pool.map(lambda s: _descend(s, params, config, solve_q), starts))
+        staged = list(pool.map(descend, starts))
     except ArithmeticError as exc:
         raise NumericalFailure(f"descent arithmetic failed: {type(exc).__name__}: {exc}") from exc
+    outcomes = [d for d, _ in staged]
 
     # levels that agree to rounding tie, and the earliest start wins, so
     # a warm start listed first is kept over an equal cold one
@@ -669,7 +704,7 @@ def _minimize_over_starts(params, config: SolveConfig, starts, pool, solve_q):
         el_residual=best.grad_norm / (_envelope_prefactor(tr) * t),
         start_values=tuple(d.start_level for d in outcomes),
         starts=tuple(
-            StartRecord(d.iterations, d.level, d.grad_norm, d.stop_reason) for d in outcomes
+            StartRecord(d.iterations, d.level, d.grad_norm, d.stop_reason, k) for d, k in staged
         ),
     )
 
@@ -687,8 +722,18 @@ def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
     arena and BLAS buffer.  A cold solve starts from default_starts, a
     warm one from [warm, constant, *restarts], or from [warm, *restarts]
     when the warm start is itself constant: the constant start would be
-    its own ray, and the warm start, listed first, wins that tie."""
+    its own ray, and the warm start, listed first, wins that tie.
+
+    A restart may live on a coarser grid of the same ball, as the sweep's
+    does on the quarter grid (_coarse_grid).  At every solve it descends
+    there first, then its final field is prolonged to ``grid`` and
+    descends again; the run makes that grid's Q^{-1} and prolongation
+    once, beside its own.  A run with no restarts makes one solver."""
     solve_q = _energy_solver(grid, base_params.a)
+    coarse = {
+        g: (_energy_solver(g, base_params.a), prolongation(g, grid))
+        for g in {s.grid for s in restarts} - {grid}
+    }
     constant = Field.constant(grid, 1.0)
     if config.threads == 1:
         workers = nullcontext(_CALLING_THREAD)
@@ -704,7 +749,7 @@ def _continuation(base_params, config: SolveConfig, grid: AxiGrid, restarts=()):
                 starts = [warm, *restarts]
             else:
                 starts = [warm, constant, *restarts]
-            return _minimize_over_starts(params, config, starts, pool, solve_q)
+            return _minimize_over_starts(params, config, starts, pool, solve_q, coarse)
 
         yield solve
 
@@ -716,9 +761,24 @@ def minimize(params, config: SolveConfig, grid: AxiGrid) -> SolveResult:
         return solve(params.alpha)
 
 
+def _coarse_grid(grid: AxiGrid) -> Optional[AxiGrid]:
+    """The grid's quarter: the same N, R and stretch, with n // 4 nodes
+    on each axis; None where either quarter is under build_grid's floor."""
+    n_r, n_theta = grid.n_r // 4, grid.n_theta // 4
+    if min(n_r, n_theta) < MIN_NODES:
+        return None
+    return build_grid(grid.N, grid.R, n_r, n_theta, grid.stretch)
+
+
 def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid) -> SweepResult:
     """Solve along an ascending alpha list, warm-starting from the last
-    minimizer; monotonicity violations are flagged, never corrected."""
+    minimizer; monotonicity violations are flagged, never corrected.
+
+    Every warm solve also restarts from a cold 0.05 R bubble.  Where the
+    grid has a quarter grid (_coarse_grid: from 128 nodes per axis) the
+    bubble is built there, and descends there before it is prolonged and
+    refined: below the threshold it collapses into the constant, and
+    that collapse costs coarse steps, not fine ones."""
     alphas = [float(a) for a in alphas]
     if len(alphas) == 0:
         raise DomainError("alpha list must be nonempty")
@@ -728,9 +788,10 @@ def sweep_alpha(base_params, alphas, config: SolveConfig, grid: AxiGrid) -> Swee
         raise DomainError(f"alpha values must be finite and nonnegative, got {alphas}")
 
     results = []
-    # a fine bubble restarts every warm solve, so the sweep can leave the
-    # constant branch once concentration wins
-    bubble = _resolvable_bubble(grid, 0.05)
+    # a narrow bubble restarts every warm solve, so the sweep can leave
+    # the constant branch once concentration wins
+    coarse = _coarse_grid(grid)
+    bubble = _resolvable_bubble(grid if coarse is None else coarse, 0.05)
     with _continuation(base_params, config, grid, (bubble,)) as solve:
         for a in alphas:
             results.append(solve(a, results[-1].minimizer if results else None))

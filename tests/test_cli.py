@@ -458,8 +458,10 @@ class TestMinimizeCommand:
         res = json.loads((out / "result.json").read_text())
         assert len(res["starts"]) == len(res["start_values"]) == 2
         for rec in res["starts"]:
-            assert set(rec) == {"iterations", "level", "grad_norm", "stop_reason"}
+            assert set(rec) == {"iterations", "level", "grad_norm", "stop_reason", "coarse_iterations"}
             assert rec["stop_reason"] in ("converged", "max_iters", "line_search")
+            # minimize has no restarts, so no start has a coarse stage
+            assert rec["coarse_iterations"] == 0
         bubble = res["starts"][1]
         assert (bubble["stop_reason"], bubble["iterations"]) == ("max_iters", 2)
         # the winner is the earliest start within TIE_RTOL of the lowest,

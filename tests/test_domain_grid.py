@@ -31,6 +31,7 @@ from neumannlab.domain_grid import (
     norm_gradients,
     norms,
     pole_distance,
+    prolongation,
     save_field_snapshot,
 )
 from neumannlab.errors import (
@@ -803,6 +804,48 @@ class TestInterpolateInstanton:
             interpolate_instanton(g, InstantonParams(eps=floor / 4.0))
         # right at the floor is allowed
         interpolate_instanton(g, InstantonParams(eps=floor * 1.0001))
+
+
+class TestProlongation:
+    """A coarse field's bilinear interpolant at the nodes of a finer grid
+    of the same ball."""
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        return build_grid(5, 1.0, 32, 40, stretch=2.0), build_grid(5, 1.0, 100, 130, stretch=2.0)
+
+    def test_constant_keeps_its_bits(self, grids):
+        coarse, fine = grids
+        value = 0.3716
+        got = prolongation(coarse, fine)(Field.constant(coarse, value))
+        assert got.grid is fine
+        assert np.array_equal(got.values.view(np.uint64), Field.constant(fine, value).values.view(np.uint64))
+
+    def test_bilinear_field_is_exact(self, grids):
+        # linear interpolation along each axis reproduces (p + q r)(s + t theta)
+        coarse, fine = grids
+
+        def product(g):
+            return (1.3 + 0.7 * g.r)[:, None] * (0.4 + 0.9 * g.theta)
+
+        got = prolongation(coarse, fine)(Field(coarse, product(coarse))).values
+        np.testing.assert_allclose(got, product(fine), rtol=1e-14, atol=0.0)
+
+    def test_nonnegative_stays_nonnegative_and_within_range(self, grids):
+        # the end nodes coincide, so nothing is extrapolated: every value
+        # lies between the coarse field's least and greatest, to rounding
+        coarse, fine = grids
+        rng = np.random.default_rng(4)
+        vals = rng.random((coarse.n_r, coarse.n_theta)) ** 3 * 1e3
+        vals[rng.random(vals.shape) < 0.4] = 0.0
+        got = prolongation(coarse, fine)(Field(coarse, vals)).values
+        assert got.min() >= 0.0
+        assert got.max() <= vals.max() * (1.0 + 4.0 * np.finfo(float).eps)
+
+    def test_other_ball_is_rejected(self, grids):
+        coarse, _ = grids
+        with pytest.raises(DomainError, match="does not prolong"):
+            prolongation(coarse, build_grid(5, 2.0, 64, 64, stretch=2.0))
 
 
 class TestSnapshots:

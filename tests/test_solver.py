@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -683,6 +684,83 @@ class TestSweep:
         sw = sweep_alpha(make_params(5, 1.0, 0.0), alphas, quick_config(n_starts=1, max_iters=20), grid48)
         assert [res.alpha for res in sw.results] == alphas
         assert not hasattr(sw, "alphas") and not hasattr(sw, "levels")
+
+
+@pytest.fixture(scope="module")
+def grid128():
+    return build_grid(5, 1.0, 128, 128, stretch=4.0)
+
+
+@pytest.fixture(scope="module")
+def quarter_sweeps(grid128):
+    """One 128^2 sweep across the threshold with the restart's coarse
+    stage, on one and on two workers, and one with it turned off."""
+    base, alphas = make_params(5, 1.0, 0.0), [0.5, 1.0, 3.0]
+    cfg = SolveConfig(max_iters=500, grad_tol=1e-4, n_starts=1)
+    runs = {"coarse": sweep_alpha(base, alphas, cfg, grid128),
+            "pooled": sweep_alpha(base, alphas, replace(cfg, threads=2), grid128)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_coarse_grid", lambda grid: None)
+        runs["fine"] = sweep_alpha(base, alphas, cfg, grid128)
+    return SimpleNamespace(**runs)
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestCoarseRestart:
+    """The sweep's bubble restart descends on the quarter grid first, then
+    is prolonged and refined on the run's grid."""
+
+    def test_quarter_grid(self):
+        for (n_r, n_theta), want in (((128, 128), (32, 32)), ((256, 160), (64, 40))):
+            g = build_grid(6, 0.5, n_r, n_theta, stretch=3.0)
+            coarse = solver._coarse_grid(g)
+            assert (coarse.n_r, coarse.n_theta) == want
+            assert (coarse.N, coarse.R, coarse.stretch) == (g.N, g.R, g.stretch)
+        for n_r, n_theta in ((96, 96), (127, 127), (256, 96)):
+            assert solver._coarse_grid(build_grid(5, 1.0, n_r, n_theta, stretch=4.0)) is None
+
+    def test_constant_branch_keeps_its_bits(self, quarter_sweeps):
+        # below the threshold the restart collapses into the constant on
+        # the quarter grid, and its prolongation needs no fine step
+        for got, want in zip(quarter_sweeps.coarse.results[:2], quarter_sweeps.fine.results[:2]):
+            assert got.S_alpha_est == want.S_alpha_est
+            assert got.el_residual == want.el_residual
+            assert _same_bits(got.minimizer.values, want.minimizer.values)
+        restart = quarter_sweeps.coarse.results[1].starts[1]
+        assert restart.coarse_iterations > 0 and restart.iterations == 0
+        assert quarter_sweeps.fine.results[1].starts[1].coarse_iterations == 0
+
+    def test_bubble_branch_keeps_its_level(self, quarter_sweeps):
+        got, want = quarter_sweeps.coarse.results[2], quarter_sweeps.fine.results[2]
+        assert got.S_alpha_est == pytest.approx(want.S_alpha_est, rel=1e-9)
+        assert got.diagnostics.boundary_flag == want.diagnostics.boundary_flag
+        assert got.diagnostics.boundary_flag
+        assert got.starts[1].coarse_iterations > 0
+
+    def test_two_workers_give_the_same_bits(self, quarter_sweeps):
+        for got, want in zip(quarter_sweeps.pooled.results, quarter_sweeps.coarse.results):
+            assert got.S_alpha_est == want.S_alpha_est
+            assert got.el_residual == want.el_residual
+            assert got.starts == want.starts
+            assert _same_bits(got.minimizer.values, want.minimizer.values)
+
+    def test_minimize_and_alpha0_make_one_solver(self, grid128, monkeypatch):
+        # neither passes restarts, so neither builds the quarter grid's solver
+        made, real_solver = [], solver._energy_solver
+
+        def energy_solver(grid, a):
+            made.append(grid)
+            return real_solver(grid, a)
+
+        monkeypatch.setattr(solver, "_energy_solver", energy_solver)
+        minimize(make_params(5, 1.0, 3.0), quick_config(n_starts=2, max_iters=3), grid128)
+        assert made == [grid128]
+        made.clear()
+        estimate_alpha0(make_params(5, 1.0, 0.0), quick_config(n_starts=1), grid128, (2.0, 3.5))
+        assert made == [grid128]
 
 
 class TestNonfiniteAlphas:
