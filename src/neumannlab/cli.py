@@ -109,8 +109,16 @@ def _text(value) -> str:
 
 
 def _float_list(value) -> tuple:
-    """A list key's values, from config text or a replayed JSON array."""
-    parts = value.replace(",", " ").split() if isinstance(value, str) else list(value)
+    """A list key's values, from config text or a replayed JSON array.
+    Text separates them by commas, spaces or both; an empty item before,
+    between or after commas is refused, not dropped."""
+    if isinstance(value, str):
+        items = [item.split() for item in value.split(",")]
+        parts = [p for item in items for p in item]
+        if parts and not all(items):
+            raise ValueError("empty item beside a comma")
+    else:
+        parts = list(value)
     if not parts:
         raise ValueError("empty list")
     return tuple(_finite_float(p) for p in parts)

@@ -365,12 +365,6 @@ class NormReport:
     trace_mass: float
 
 
-def _edge_energy(coeff: np.ndarray, diff: np.ndarray) -> float:
-    """sum coeff diff^2 as coeff * diff * diff, in one temporary beside the held planes."""
-    prod = coeff * diff
-    return float(np.multiply(prod, diff, out=prod).sum())
-
-
 def norm_gradients(field: Field, params: ProblemParams):
     """Quadrature norms entering I_alpha, as ``(report, pullback)`` from
     one kernel pass.
@@ -392,22 +386,26 @@ def norm_gradients(field: Field, params: ProblemParams):
     if not np.any(u != 0.0):
         raise DegenerateInputError("zero field has no norms")
     (mass2, trace, critical), mass_pullback = g.power_masses(u)
-    # one difference per edge for grad2 and the stencil; the pass holds neither
+    # one weighted difference w = coeff du per edge: grad2 reads w du, and
+    # the pullback spends w as the stiffness stencil
     dr = u[1:, :] - u[:-1, :]
+    wr = g.r_edge_coeff * dr
+    grad2 = float(np.vdot(wr, dr))
+    del dr  # before the strided angular subtraction, which makes a nodal temporary
     dt = u[:, 1:] - u[:, :-1]
-    grad2 = _edge_energy(g.r_edge_coeff, dr) + _edge_energy(g.theta_edge_coeff, dt)
+    wt = g.theta_edge_coeff * dt
+    grad2 += float(np.vdot(wt, dt))
     triple = NormTriple(grad2 + params.a * mass2, params.alpha * trace, critical, params.N)
     report = NormReport(triple=triple, grad2=grad2, mass2=mass2, trace_mass=trace)
 
     def pullback(c_a, c_b, c_c):
         deriv = mass_pullback(params.a * c_a, params.alpha * c_b, c_c)
-        # the stiffness stencil of grad2, scaled by c_a
-        fr = 2.0 * c_a * g.r_edge_coeff * dr
-        ft = 2.0 * c_a * g.theta_edge_coeff * dt
-        deriv[1:, :] += fr
-        deriv[:-1, :] -= fr
-        deriv[:, 1:] += ft
-        deriv[:, :-1] -= ft
+        for w in (wr, wt):  # 2 c_a w, the stiffness stencil of grad2
+            np.multiply(w, 2.0 * c_a, out=w)
+        deriv[1:, :] += wr
+        deriv[:-1, :] -= wr
+        deriv[:, 1:] += wt
+        deriv[:, :-1] -= wt
         return deriv
 
     return report, pullback

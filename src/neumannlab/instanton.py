@@ -287,6 +287,8 @@ def _check_geometric(eps_list, max_allowed: float) -> np.ndarray:
     if np.any(eps <= 0):
         raise DomainError("eps levels must be positive")
     order = np.sort(eps)
+    if np.any(order[1:] == order[:-1]):
+        raise DomainError("eps levels must be distinct")
     ratios = order[1:] / order[:-1]
     if np.any(np.abs(ratios / ratios[0] - 1.0) > 1e-9):
         raise DomainError("eps levels must form a geometric sequence")
@@ -374,7 +376,8 @@ def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> Ex
     critical mass, the trace-critical mass, the gradient/critical ratio,
     and the small parameter delta, and pairs each fitted coefficient with
     its closed-form prediction.  ``eps_list`` is in units of the radius
-    (at most 0.05): the widths fitted are radius * eps_list.
+    (at most 0.05): the widths are radius * eps_list, and the fit runs in
+    units of the radius, so it is the same fit for every radius.
 
     Two width conventions are in play.  The bubble here is normalized to
     u(0) = 1, so its half-width is sqrt(K) with K = N(N-2).  The classical
@@ -394,7 +397,8 @@ def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> Ex
         raise DomainError(f"radius > 0 required, got {radius}")
     if domain not in ("ball", "half_space"):
         raise DomainError(f"unknown domain {domain!r}")
-    eps = radius * _check_geometric(eps_list, 0.05)
+    units = _check_geometric(eps_list, 0.05)
+    eps = radius * units
     quad = CapQuadrature(N=N, domain=domain, radius=radius)
 
     grads, m2s, m2t, ratios, deltas = [], [], [], [], []
@@ -419,7 +423,9 @@ def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> Ex
     root_k = math.sqrt(bubble_scale(N))
 
     def fit(values, name, exp_c0, exp_c1, scale):
-        x = eps * scale
+        # the abscissa in units of R, whose powers stay in range for any R;
+        # c1 and c2 return to the physical width below
+        x = units * scale
         vals = np.asarray(values)
         c2, c1, c0 = np.polyfit(x, vals, 2)
         resid = np.max(np.abs(np.polyval([c2, c1, c0], x) - vals))
@@ -434,8 +440,8 @@ def expansion_suite(N: int, radius: float, eps_list, domain: str = "ball") -> Ex
             values=tuple(float(v) for v in values),
             abscissa_scale=scale,
             c0=float(c0),
-            c1=float(c1),
-            c2=float(c2),
+            c1=float(c1) / radius,
+            c2=float(c2) / radius / radius,
             expected_c0=exp_c0,
             expected_c1=exp_c1,
         )

@@ -357,6 +357,24 @@ class TestConfigRejection:
             err = capsys.readouterr().err
             assert "invalid value for alpha_list" in err and "(empty list)" in err
 
+    @pytest.mark.parametrize("text", ["0.5,,1.5", "0.5,1.5,", ",0.5,1.5", "0.5, ,1.5"])
+    def test_empty_list_item_rejected(self, text, tmp_path, capsys):
+        # an empty item is an invalid value, not a dropped one: from the
+        # flag and from config text, for both list keys; nothing is written
+        out = tmp_path / "run"
+        argv = ["sweep", "--n-r", "32", "--n-theta", "32", "--alpha-list", text, "--out", str(out)]
+        assert cli.main(argv) == 2
+        cfg = write_cfg(tmp_path / "c.cfg", SMALL_SOLVER + f"alpha_list = {text}\n")
+        assert cli.run("sweep", config_path=cfg, output_dir=str(out)) == 2
+        assert cli.run("instanton-verify", output_dir=str(out), overrides={"eps_list": text}) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("(empty item beside a comma)") == 3
+
+    def test_list_separators_accepted(self):
+        for text in ("0.5 1.5", "0.5 , 1.5", " 0.5,1.5 "):
+            assert cli.resolve_config("sweep", {"alpha_list": text}, {})["alpha_list"] == (0.5, 1.5)
+
     @pytest.mark.parametrize("key, number", [("n_r", "32.7"), ("max_iters", "true"), ("seed", "2.9")])
     def test_nonint_value_rejected(self, key, number, tmp_path, capsys):
         # a replayed manifest's JSON float or bool is refused, not truncated
@@ -919,6 +937,14 @@ class TestInstantonVerifyCommand:
     def test_non_geometric_ladder_rejected(self, capsys):
         code = cli.run("instanton-verify", overrides={"eps_list": "0.001, 0.002, 0.005"})
         assert code == 2
+
+    def test_repeated_width_ladder_rejected(self, tmp_path, capsys):
+        # a common ratio of 1 is no ladder: the fit would be singular
+        out = tmp_path / "run"
+        overrides = {"eps_list": "0.01,0.01,0.01"}
+        assert cli.run("instanton-verify", output_dir=str(out), overrides=overrides) == 2
+        assert "eps levels must be distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quadrature_keys_are_not_settable(self, capsys):
         # the cap rule's resolution is CapQuadrature's own, not a config key

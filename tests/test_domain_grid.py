@@ -413,7 +413,8 @@ def _callback_pass(field, params, coefficients):
     g, u = field.grid, field.values
     dr = u[1:, :] - u[:-1, :]
     dt = u[:, 1:] - u[:, :-1]
-    grad2 = float(np.sum(g.r_edge_coeff * dr * dr) + np.sum(g.theta_edge_coeff * dt * dt))
+    wr, wt = g.r_edge_coeff * dr, g.theta_edge_coeff * dt
+    grad2 = float(np.vdot(wr, dr)) + float(np.vdot(wt, dt))
     rep = c_a = None
 
     def mass_weights(masses):
@@ -425,8 +426,7 @@ def _callback_pass(field, params, coefficients):
         return params.a * c_a, params.alpha * c_b, c_c
 
     _, deriv = _callback_power_masses(g, u, mass_weights)
-    fr = 2.0 * c_a * g.r_edge_coeff * (u[1:, :] - u[:-1, :])
-    ft = 2.0 * c_a * g.theta_edge_coeff * (u[:, 1:] - u[:, :-1])
+    fr, ft = 2.0 * c_a * wr, 2.0 * c_a * wt
     deriv[1:, :] += fr
     deriv[:-1, :] -= fr
     deriv[:, 1:] += ft
@@ -490,6 +490,23 @@ class TestPowerMasses:
         bound = 3 * plane + 4 * nodal
         assert bound < 5 * plane
         assert peak <= bound
+
+    def test_pullback_allocates_little_beyond_its_derivative(self):
+        # the pass's weighted differences become the stiffness stencil in
+        # place, so the pullback's own peak is its derivative plus at most
+        # a buffer for a strided slice-add, not the stencil's operands
+        g = build_grid(5, 1.0, 128, 128, stretch=4.0)
+        p = make_params(5, 1.0, 1.0)
+        f = Field(g, 0.1 + np.random.default_rng(3).random((128, 128)))
+        norm_gradients(f, p)[1](1.0, 1.0, 1.0)
+        pullback = norm_gradients(f, p)[1]
+        tracemalloc.start()
+        try:
+            pullback(1.0, 1.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * f.values.nbytes
 
     def test_operator_shape(self, grid64s):
         # one plane of weights per Gauss point, one per cell; the sparse

@@ -250,6 +250,8 @@ class TestScalingProbe:
             scaling_exponent_probe(2.0, 5, [1e-4, 2e-4, 4e-4])  # too few
         with pytest.raises(DomainError):
             scaling_exponent_probe(2.0, 5, [0.05, 0.1, 0.2, 0.4])  # exceeds cap
+        with pytest.raises(DomainError, match="distinct"):
+            scaling_exponent_probe(2.0, 5, [1e-3] * 4)  # one repeated level
 
     def test_log_flag_must_match_regime(self):
         with pytest.raises(DomainError):
@@ -342,6 +344,21 @@ class TestExpansionSuite:
             expansion_suite(5, 1.0, EPS_FIT, domain="strip")
         with pytest.raises(DomainError):
             expansion_suite(5, 1.0, [0.02, 0.04, 0.08, 0.16])  # beyond 0.05 R
+        with pytest.raises(DomainError, match="distinct"):
+            expansion_suite(5, 1.0, [0.01, 0.01, 0.01])  # common ratio 1
+
+    def test_fit_is_scale_free(self):
+        # the fit runs in units of R, so a ball of any radius gives the
+        # unit ball's relative errors, where the physical width's powers
+        # would leave the float range
+        ladder = [0.003125, 0.00625, 0.0125]
+        want = expansion_suite(5, 1.0, ladder).records
+        for R in (1e100, 1e-100):
+            got = expansion_suite(5, R, ladder).records
+            for g, w in zip(got, want):
+                assert g.name == w.name
+                assert g.rel_error_c0 == pytest.approx(w.rel_error_c0, rel=1e-9)
+                assert g.rel_error_c1 == pytest.approx(w.rel_error_c1, rel=1e-9)
 
     def test_nonconvergent_data_raises(self, monkeypatch):
         import neumannlab.instanton as mod
